@@ -15,7 +15,7 @@ import sys
 from .cyclok2 import (ALL_FLAGS, build_cyclo_module, e_table, rho_basis,
                       verify_hecke_eigenvalue)
 from .eisspace import eis_eigenspace
-from .exactlin import is_irregular_pair
+from .exactlin import check_weight, is_irregular_pair, is_prime
 from .lvalues import l_values_from_rho, lvalue_identity_report
 from .reports import CheckReport, canonical_json
 
@@ -83,7 +83,7 @@ def cmd_irregular_pairs(args):
     pairs = []
     nprimes = 0
     for p in range(3, args.max_p + 1):
-        if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             continue
         nprimes += 1
         for k in range(2, p - 2, 2):
@@ -91,24 +91,24 @@ def cmd_irregular_pairs(args):
                 pairs.append([p, k])
     rep = CheckReport("irregular-pairs", {"max_p": args.max_p})
     rep.add(f"swept {nprimes} primes", True, {"pairs": pairs})
-    rep.csv_header = ("p", "k")
-    rep.csv_rows = [tuple(pair) for pair in pairs]
+    rep.table = (("p", "k"), pairs)
     return rep
 
 
 def cmd_lvalues(args):
-    rep = CheckReport("lvalues", {"p": args.p, "k": args.k})
+    check_weight(args.k, args.p)
     module = build_cyclo_module(args.p)
+    rep = CheckReport("lvalues", {"p": args.p, "k": args.k})
     rhos = rho_basis(module, args.k)
     rep.add("functional count", True, len(rhos))
-    rep.csv_header = ("rho", "i", "value")
-    rep.csv_rows = []
+    rows = []
     for r_i, rho in enumerate(rhos):
         lv = l_values_from_rho(module, rho, args.k)
         rep.add(f"L-values for rho{r_i}", True,
                 {"values": lv.to_dict(), "excluded": sorted(lv.excluded)})
-        rep.csv_rows += [(r_i, i, v) for i, v in
-                         sorted(lv.to_dict().items(), key=lambda kv: int(kv[0]))]
+        rows += [(r_i, i, v) for i, v in
+                 sorted(lv.to_dict().items(), key=lambda kv: int(kv[0]))]
+    rep.table = (("rho", "i", "value"), rows)
     return rep
 
 
@@ -222,11 +222,12 @@ def main(argv=None):
     except ValueError as exc:
         ap.exit(2, f"usage error: {exc}\n")
     sys.stdout.write(rep.to_json() + "\n")
-    if args.csv and getattr(rep, "csv_rows", None) is not None:
+    if args.csv and rep.table is not None:
+        header, rows = rep.table
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(rep.csv_header)
-            writer.writerows(rep.csv_rows)
+            writer.writerow(header)
+            writer.writerows(rows)
     return 0 if rep.all_pass else 1
 
 

@@ -9,10 +9,15 @@ on cyclotomic p-units (working mod p with p odd, so 2-torsion dies):
   F2  e(-x,y) = e(x,y),  e(x,-y) = e(x,y)      1-z^{-x} = -z^{-x}(1-z^x)
   F3  e(y,y) = 0                               diagonal
   F4  e(x,y) - e(x+y,y) - e(x,x+y) = 0         x+y != 0
-  F5  the T_2 identity (ten terms)             x+y != 0
-  F6  the T_3 identity (twelve terms)          x+y, x-y != 0
+  F5  (e|T_2)(x,y) = 2 e(x,y) + e(2x,2y)       x+y != 0
+  F6  (e|T_3)(x,y) = 3 e(x,y) + e(3x,3y)       x+y, x-y != 0
   F7  e(p^k u, y) = sum of e(beta, y) over units beta = u mod p^{n-k}
                                                n > 1 only, left slot
+
+F5 and F6 are the Hecke eigenvalue identity e|T_q = (q + sigma_q) e, with
+e|T_q expanded through the closed-form terms of hecke.CLOSED_FORMS
+(Merel's coset data).  Each F4-F6 row is imposed wherever all of its
+slots are nonzero mod p^n, which gives the conditions listed.
 
 Only these relations are imposed; the module is therefore a cover of
 the actual symbol subgroup, which is the safe direction for verifying
@@ -28,58 +33,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (as_fp, inv_mod, kernel_mod, matmul_mod, omega_pow,
-                       primitive_root, rref_mod, unit_group)
+from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
+                       omega_pow, primitive_root, rref_mod)
+from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, is_supported_at_infty
 from .reports import CheckReport
 
 ALL_FLAGS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
 
 
-def _term_families(p):
-    """Generator-pair term lists for F4/F5/F6.
+def _hecke_terms(q):
+    """(e|T_q)(x,y) - q e(x,y) - e(qx,qy): the T_q eigenvalue identity."""
+    return ([(1, m) for m in CLOSED_FORMS[q]]
+            + [(-q, (1, 0, 0, 1)), (-1, (q, 0, 0, q))])
 
-    Each entry: (name, condition, terms); condition is a mask function
-    of vectorized (x, y); terms are (coeff, fa, fb) with fa/fb functions
-    of (x, y) giving the slot values.  All slots are nonzero whenever
-    the condition holds (p odd keeps 2x, 2y nonzero; F6 needs p != 3).
-    """
-    fams = [
-        ("F4", lambda x, y, pn: (x + y) % pn != 0, [
-            (1, lambda x, y: x, lambda x, y: y),
-            (-1, lambda x, y: x + y, lambda x, y: y),
-            (-1, lambda x, y: x, lambda x, y: x + y),
-        ]),
-        ("F5", lambda x, y, pn: (x + y) % pn != 0, [
-            (1, lambda x, y: x, lambda x, y: 2 * y),
-            (1, lambda x, y: 2 * x, lambda x, y: y),
-            (1, lambda x, y: x + y, lambda x, y: 2 * y),
-            (-1, lambda x, y: x + y, lambda x, y: 2 * x),
-            (-1, lambda x, y: x, lambda x, y: y),
-            (-1, lambda x, y: 2 * x, lambda x, y: 2 * y),
-            (-1, lambda x, y: x + y, lambda x, y: y),
-            (1, lambda x, y: x + y, lambda x, y: x),
-            (-1, lambda x, y: x, lambda x, y: 2 * x),
-            (-1, lambda x, y: 2 * x, lambda x, y: x),
-        ]),
-    ]
-    if p != 3:
-        fams.append(
-            ("F6", lambda x, y, pn: ((x + y) % pn != 0) & ((x - y) % pn != 0), [
-                (1, lambda x, y: x, lambda x, y: 3 * y),
-                (1, lambda x, y: 3 * x, lambda x, y: y),
-                (-1, lambda x, y: 3 * y, lambda x, y: x + y),
-                (-1, lambda x, y: 3 * y, lambda x, y: y - x),
-                (1, lambda x, y: 3 * x, lambda x, y: x + y),
-                (1, lambda x, y: 3 * x, lambda x, y: y - x),
-                (-1, lambda x, y: 3 * x, lambda x, y: 3 * y),
-                (1, lambda x, y: y, lambda x, y: y - x),
-                (1, lambda x, y: y, lambda x, y: x + y),
-                (-1, lambda x, y: x, lambda x, y: y - x),
-                (-1, lambda x, y: x, lambda x, y: y),
-                (-1, lambda x, y: x, lambda x, y: x + y),
-            ]))
-    return fams
+
+# family -> [(coeff, (a, b, c, d))], each the term coeff * e(a*x + b*y, c*x + d*y)
+_RELATION_TERMS = {
+    "F4": [(1, (1, 0, 0, 1)), (-1, (1, 1, 0, 1)), (-1, (1, 0, 1, 1))],
+    "F5": _hecke_terms(2),
+    "F6": _hecke_terms(3),
+}
 
 
 def _f7_rows(pn, p, n):
@@ -110,8 +84,7 @@ class CycloModule:
     """
 
     def __init__(self, p, n=1, flags=None):
-        if p < 5 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError("need a prime p >= 5")
+        check_prime(p, least=5)
         if n < 1:
             raise ValueError("need n >= 1")
         flags = frozenset(flags if flags is not None else ALL_FLAGS)
@@ -150,26 +123,31 @@ class CycloModule:
         self.class_of_gen = np.array([clsmap.get(int(r), -1) for r in rep], dtype=np.int64)
         self.sign_of_gen = sign.astype(np.int64)
 
-    def _class_rows(self, include=("F4", "F5", "F6", "F7")):
-        """Stack the enabled F4-F7 relation rows in canonical-class coordinates."""
+    def _class_rows(self):
+        """Stack the enabled F4-F7 relation rows in canonical-class coordinates.
+
+        An F4-F6 row is imposed at every generator (x,y) where all of its
+        slots are nonzero mod p^n.
+        """
         p, pn, n = self.p, self.pn, self.n
         x, y = self.gens[:, 0], self.gens[:, 1]
         blocks = []
-        for name, cond, terms in _term_families(p):
-            if name not in self.flags or name not in include:
+        for name, terms in _RELATION_TERMS.items():
+            if name not in self.flags:
                 continue
-            mask = cond(x, y, pn)
-            xx, yy = x[mask], y[mask]
-            rows = np.zeros((len(xx), self.n_classes), dtype=np.int64)
-            ridx = np.arange(len(xx))
-            for coeff, fa, fb in terms:
-                g = self.gen_index[(fa(xx, yy) % pn) * pn + (fb(xx, yy) % pn)]
-                assert (g >= 0).all(), f"{name} produced a zero slot"
+            slots = [((a * x + b * y) % pn, (c * x + d * y) % pn)
+                     for _, (a, b, c, d) in terms]
+            mask = np.logical_and.reduce([(u != 0) & (v != 0) for u, v in slots])
+            ridx = np.arange(int(mask.sum()))
+            rows = np.zeros((len(ridx), self.n_classes), dtype=np.int64)
+            for (coeff, _), (u, v) in zip(terms, slots):
+                g = self.gen_index[u[mask] * pn + v[mask]]
                 cls = self.class_of_gen[g]
                 ok = cls >= 0
                 np.add.at(rows, (ridx[ok], cls[ok]), coeff * self.sign_of_gen[g[ok]])
-            blocks.append(rows % p)
-        if "F7" in self.flags and "F7" in include and n > 1:
+            rows %= p
+            blocks.append(rows)
+        if "F7" in self.flags and n > 1:
             rows = []
             for xc, yc, betas in _f7_rows(pn, p, n):
                 row = np.zeros(self.n_classes, dtype=np.int64)
@@ -227,57 +205,6 @@ class CycloModule:
             got = np.stack(cols, axis=1) if self.dim else np.zeros((0, 0), dtype=np.int64)
             self._gal_cache[lam] = got
         return got
-
-    def relation_rows(self):
-        """The full generator-level relation matrix, families in order F1..F7.
-
-        Materialized on demand; the quotient itself is built from the
-        two-stage reduction, and tests check rank agreement here.
-        """
-        p, pn = self.p, self.pn
-        ngen = len(self.gens)
-        x, y = self.gens[:, 0], self.gens[:, 1]
-        blocks = []
-
-        def gen_rows(term_list, mask=None):
-            xx = x if mask is None else x[mask]
-            yy = y if mask is None else y[mask]
-            rows = np.zeros((len(xx), ngen), dtype=np.int64)
-            ridx = np.arange(len(xx))
-            for coeff, fa, fb in term_list:
-                g = self.gen_index[(fa(xx, yy) % pn) * pn + (fb(xx, yy) % pn)]
-                np.add.at(rows, (ridx, g), coeff)
-            return rows % p
-
-        if "F1" in self.flags:
-            blocks.append(gen_rows([(1, lambda a, b: a, lambda a, b: b),
-                                    (1, lambda a, b: b, lambda a, b: a)]))
-        if "F2" in self.flags:
-            blocks.append(gen_rows([(1, lambda a, b: a, lambda a, b: b),
-                                    (-1, lambda a, b: -a, lambda a, b: b)]))
-            blocks.append(gen_rows([(1, lambda a, b: a, lambda a, b: b),
-                                    (-1, lambda a, b: a, lambda a, b: -b)]))
-        if "F3" in self.flags:
-            rows = np.zeros((pn - 1, ngen), dtype=np.int64)
-            for i, v in enumerate(range(1, pn)):
-                rows[i, self.gen_index[v * pn + v]] = 1
-            blocks.append(rows)
-        for name, cond, terms in _term_families(p):
-            if name not in self.flags:
-                continue
-            mask = cond(x, y, pn)
-            blocks.append(gen_rows(terms, mask))
-        if "F7" in self.flags and self.n > 1:
-            rows = []
-            for xc, yc, betas in _f7_rows(pn, p, self.n):
-                row = np.zeros(ngen, dtype=np.int64)
-                row[self.gen_index[xc * pn + yc]] += 1
-                for b in betas:
-                    row[self.gen_index[b * pn + yc]] -= 1
-                rows.append(row % p)
-            if rows:
-                blocks.append(np.stack(rows))
-        return np.vstack(blocks)
 
     def __repr__(self):
         return f"CycloModule(p={self.p}, n={self.n}, dim={self.dim})"
@@ -349,14 +276,15 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     The Hecke deviation is therefore supported at infinity, which is
     recorded as a second check per q.
     """
-    from .hecke import hecke_apply
+    for q in qs:
+        check_prime(q, name="Hecke index q")
+        if q == module.p:
+            raise ValueError(f"Hecke index q = {q} must differ from p")
     rep = CheckReport("verify-hecke", {"p": module.p, "n": module.n})
     e = e_manin(module)
     pn = module.pn
     off_axis = (e.points[:, 0] * e.points[:, 1]) % pn != 0
     for q in qs:
-        if q == module.p:
-            continue
         te = hecke_apply(e, q)
         chi_q = module.galois_matrix(q)
         expect = (q * e.values + matmul_mod(e.values, chi_q.T, module.p)) % module.p
@@ -411,5 +339,6 @@ def rho_basis(module, k):
     for a in range(2, p):
         want = omega_pow(a, 2 - k, p)
         got = matmul_mod(rows, module.galois_matrix(a), p)
-        assert np.array_equal(got, rows * want % p)
+        if not np.array_equal(got, rows * want % p):
+            raise RuntimeError(f"sigma_{a} does not act by {a}^(2-k) on the eigenspace")
     return rows

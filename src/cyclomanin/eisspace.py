@@ -10,19 +10,17 @@ pairs.
 
 import numpy as np
 
-from .exactlin import (bernoulli_over_k_mod, coords_in_rowspace, inv_mod,
-                       kernel_mod, rref_mod)
+from .exactlin import (bernoulli_over_k_mod, check_prime, check_weight,
+                       coords_in_rowspace, inv_mod, kernel_mod, rref_mod)
 from .hecke import merel_set
 from .lvalues import S, dual_act_matrix, gamma_infty_invariants
-from .reports import CheckReport
 
 U = (0, -1, 1, -1)    # order-3 generator; S*U = T
 
 
 def level1_space(k, p):
     """Basis rows of {v in V_{k-2} : v + v|S = 0, v + v|U + v|U^2 = 0}."""
-    if k % 2 or not 2 <= k < 2 * p:
-        raise ValueError("need even k with 2 <= k < 2p")
+    check_weight(k, p)
     r = k - 2
     eye = np.eye(r + 1, dtype=np.int64)
     bs = dual_act_matrix(S, r, p)
@@ -67,7 +65,8 @@ def boundary_space(k, p):
     level = level1_space(k, p)
     lref, lpiv = rref_mod(level, p)
     _, inside = coords_in_rowspace(lref, lpiv, span, p)
-    assert inside.all(), "boundary symbols must satisfy the level-one relations"
+    if not inside.all():
+        raise RuntimeError("boundary symbols must satisfy the level-one relations")
     return span
 
 
@@ -83,7 +82,8 @@ def _quotient_setup(k, p):
     nl = lref.shape[0]
     bnd = boundary_space(k, p)
     bcoords, ok = coords_in_rowspace(lref, lpiv, bnd, p)
-    assert ok.all()
+    if not ok.all():
+        raise RuntimeError("boundary space must lie in the level-one space")
     bref, bpiv = rref_mod(bcoords, p) if len(bcoords) else (np.zeros((0, nl), dtype=np.int64), [])
     free = [c for c in range(nl) if c not in set(bpiv)]
     # quotient coordinates: free coordinates after eliminating boundary pivots
@@ -99,7 +99,8 @@ def _op_on_level(mat, lref, lpiv, p):
     """Restrict an operator matrix on V_r to level coordinates (rows act)."""
     image = lref @ mat.T % p
     coords, ok = coords_in_rowspace(lref, lpiv, image, p)
-    assert ok.all(), "operator must preserve the level-one relation space"
+    if not ok.all():
+        raise RuntimeError("operator must preserve the level-one relation space")
     return coords
 
 
@@ -131,26 +132,37 @@ class EisReport:
         }
 
 
+def _eisenstein_space(p, k, primes):
+    """Rows of the conjugation-fixed parabolic space with T_q = 1 + q^(k-1).
+
+    Returns (space, tmats, eigenvalues, dims): tmats[q] is T_q on the
+    parabolic quotient and dims is (level, boundary, parabolic).
+    """
+    check_prime(p, least=5)
+    for q in primes:
+        check_prime(q, name="Hecke prime q")
+    r = k - 2
+    lref, lpiv, quot, free, dims = _quotient_setup(k, p)
+    eye = np.eye(dims[2], dtype=np.int64)
+    conj_q = _quotient_op(conj_matrix(r, p), lref, lpiv, quot, free, p)
+    if not np.array_equal(conj_q @ conj_q % p, eye):
+        raise RuntimeError("conjugation must be an involution on the quotient")
+    space = _intersect_eigen(eye, conj_q, 1, p)
+    tmats, eigenvalues = {}, {}
+    for q in primes:
+        eigenvalues[q] = (1 + pow(q, k - 1, p)) % p
+        tmats[q] = _quotient_op(hecke_matrix_dual(q, r, p), lref, lpiv, quot, free, p)
+        space = _intersect_eigen(space, tmats[q], eigenvalues[q], p)
+    return space, tmats, eigenvalues, dims
+
+
 def eis_eigenspace(p, k, primes=(2,)):
     """Dimensions of H+_{k,eis,S}: conjugation-fixed parabolic classes with
     T_q eigenvalue 1 + q^(k-1) for q in S."""
     for q in primes:
         if q % p == 0:
             raise ValueError("Hecke primes must be away from p")
-    r = k - 2
-    lref, lpiv, quot, free, (nl, nb, nq) = _quotient_setup(k, p)
-    # operators on the parabolic quotient
-    conj_q = _quotient_op(conj_matrix(r, p), lref, lpiv, quot, free, p)
-    assert np.array_equal(conj_q @ conj_q % p, np.eye(nq, dtype=np.int64)), \
-        "conjugation must be an involution on the quotient"
-    space = np.eye(nq, dtype=np.int64)
-    space = _intersect_eigen(space, conj_q, 1, p)
-    eigenvalues = {}
-    for q in primes:
-        ev = (1 + pow(q, k - 1, p)) % p
-        eigenvalues[q] = ev
-        tq = _quotient_op(hecke_matrix_dual(q, r, p), lref, lpiv, quot, free, p)
-        space = _intersect_eigen(space, tq, ev, p)
+    space, _, eigenvalues, (nl, nb, nq) = _eisenstein_space(p, k, primes)
     return EisReport(p, k, primes, nl, nb, nq, space.shape[0], eigenvalues)
 
 
@@ -169,7 +181,6 @@ def _intersect_eigen(space_rows, op, ev, p):
     """Rows spanning {v in row space : op v = ev v}."""
     if space_rows.shape[0] == 0:
         return space_rows
-    n = op.shape[0]
     image = space_rows @ op.T % p
     diff = (image - ev * space_rows) % p
     coeff = kernel_mod(diff.T, p)     # combinations of the rows that die
@@ -179,16 +190,7 @@ def _intersect_eigen(space_rows, op, ev, p):
 def eis_eigenvector(p, k, primes=(2,)):
     """A basis of the Eisenstein eigenspace in parabolic coordinates, with
     the quotient Hecke matrices for eigenvalue verification."""
-    r = k - 2
-    lref, lpiv, quot, free, dims = _quotient_setup(k, p)
-    conj_q = _quotient_op(conj_matrix(r, p), lref, lpiv, quot, free, p)
-    space = _intersect_eigen(np.eye(dims[2], dtype=np.int64), conj_q, 1, p)
-    tmats = {}
-    for q in primes:
-        ev = (1 + pow(q, k - 1, p)) % p
-        tq = _quotient_op(hecke_matrix_dual(q, r, p), lref, lpiv, quot, free, p)
-        tmats[q] = tq
-        space = _intersect_eigen(space, tq, ev, p)
+    space, tmats, _, _ = _eisenstein_space(p, k, primes)
     return space, tmats
 
 

@@ -12,10 +12,41 @@ import math
 import numpy as np
 
 _F64_EXACT = 2**53
+_RREF_BLOCK = 1024     # input rows folded into the echelon basis per step
+
+
+def is_prime(n):
+    """Primality by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def check_prime(n, least=2, name="p"):
+    """Raise ValueError unless n is a prime >= least."""
+    if n < least or not is_prime(n):
+        raise ValueError(f"{name} must be a prime >= {least}, got {n}")
+
+
+def check_weight(k, p):
+    """Raise ValueError unless k is an even weight with 2 <= k < 2p."""
+    if k % 2 or not 2 <= k < 2 * p:
+        raise ValueError(f"need even k with 2 <= k < 2p, got k={k} at p={p}")
 
 
 def inv_mod(x, p):
     return pow(int(x) % p, -1, p)
+
+
+def power_table(bases, n, p):
+    """[b^0, b^1, ..., b^n] mod p for each b in bases, along a new last axis.
+
+    0^0 = 1.  A scalar base gives shape (n+1,).
+    """
+    bases = np.asarray(bases, dtype=np.int64) % p
+    out = np.empty(bases.shape + (n + 1,), dtype=np.int64)
+    out[..., 0] = 1
+    for e in range(1, n + 1):
+        out[..., e] = out[..., e - 1] * bases % p
+    return out
 
 
 def as_fp(a, p):
@@ -65,7 +96,7 @@ def _eliminate_dense(rows, p):
     return rows[:r], pivots
 
 
-def rref_mod(a, p, block=1024):
+def rref_mod(a, p):
     """Canonical RREF over F_p.  Returns (R, pivot_cols).
 
     R has one row per pivot; pivot columns carry a single 1.  Input rows
@@ -76,8 +107,8 @@ def rref_mod(a, p, block=1024):
     nrows, ncols = a.shape
     basis = np.zeros((0, ncols), dtype=np.int64)
     pivots = []
-    for start in range(0, nrows, block):
-        chunk = a[start:start + block].copy()
+    for start in range(0, nrows, _RREF_BLOCK):
+        chunk = a[start:start + _RREF_BLOCK].copy()
         if pivots:
             coeff = chunk[:, pivots]
             if coeff.any():
@@ -97,13 +128,6 @@ def rref_mod(a, p, block=1024):
         basis = basis[order]
         pivots = [pivots[i] for i in order]
     return basis, pivots
-
-
-def row_reduce(a, p):
-    """Return (rref, rank, kernel_basis) of `a` over F_p."""
-    a = as_fp(a, p)
-    rref, pivots = rref_mod(a, p)
-    return rref, len(pivots), kernel_from_rref(rref, pivots, a.shape[1], p)
 
 
 def kernel_from_rref(rref, pivots, ncols, p):
@@ -127,6 +151,17 @@ def kernel_mod(a, p):
     a = as_fp(a, p)
     rref, pivots = rref_mod(a, p)
     return kernel_from_rref(rref, pivots, a.shape[1], p)
+
+
+def inv_mod_matrix(a, p):
+    """Inverse of a square matrix over F_p; raises ValueError if singular."""
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    aug, piv = rref_mod(np.hstack([a % p, np.eye(d, dtype=np.int64)]), p)
+    if piv != list(range(d)):
+        raise ValueError("matrix not invertible")
+    return aug[:, d:]
 
 
 def coords_in_rowspace(rref, pivots, v, p):

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exactlin import coords_in_rowspace, inv_mod_matrix, matmul_mod, rref_mod
 from .manin import ManinTable
 
 
@@ -52,7 +53,9 @@ def hecke_apply(e, m):
     return ManinTable(e.module, out % p, validated=e.validated)
 
 
-_CLOSED_FORMS = {
+# Each (a, b, c, d) is the term e(a*x + b*y, c*x + d*y) of (e|T_q)(x,y);
+# cyclok2 builds its T_2/T_3 relation families from these same terms.
+CLOSED_FORMS = {
     2: [(1, 0, 0, 2), (2, 0, 0, 1), (1, 1, 0, 2), (2, 0, 1, 1)],
     3: [(1, 0, 0, 3), (3, 0, 0, 1), (1, 1, 0, 3), (3, 0, 1, 1),
         (1, -1, 0, 3), (3, 0, 1, -1)],
@@ -70,13 +73,12 @@ def hecke_closed_form(e, q):
     q != p since the maps are invertible mod p^n).  Agrees with
     hecke_apply on every validated symbol.
     """
-    if q not in _CLOSED_FORMS:
+    if q not in CLOSED_FORMS:
         raise ValueError("closed forms exist for q in {2, 3} only")
     p, pn = e.p, e.pn
     xs, ys = e.points[:, 0], e.points[:, 1]
     out = np.zeros_like(e.values)
-    for ca, cb, cc, cd in _CLOSED_FORMS[q]:
-        # term e(ca*x + cb*y, cc*x + cd*y)
+    for ca, cb, cc, cd in CLOSED_FORMS[q]:
         tgt = e.index[((ca * xs + cb * ys) % pn) * pn + ((cc * xs + cd * ys) % pn)]
         ok = tgt >= 0
         out[ok] += e.values[tgt[ok]]
@@ -89,11 +91,11 @@ def hecke_matrix(tables, m):
     Row i holds the coordinates of T_m(tables[i]) over the tables,
     solved exactly; raises if the span is not T_m-stable.
     """
-    from .exactlin import rref_mod, coords_in_rowspace
     p = tables[0].p
     basis = np.stack([t.values.ravel() for t in tables])
     rref, piv = rref_mod(basis, p)
-    assert len(piv) == len(tables), "tables must be linearly independent"
+    if len(piv) != len(tables):
+        raise ValueError("tables must be linearly independent")
     base_coeff, ok = coords_in_rowspace(rref, piv, basis, p)
     assert ok.all()
     # change of basis: basis = base_coeff @ rref
@@ -102,15 +104,4 @@ def hecke_matrix(tables, m):
     if not ok.all():
         raise ValueError(f"span is not stable under T_{m}")
     # solve X @ base_coeff = img_coeff over F_p
-    inv = _inv_mod_matrix(base_coeff, p)
-    from .exactlin import matmul_mod
-    return matmul_mod(img_coeff, inv, p)
-
-
-def _inv_mod_matrix(a, p):
-    from .exactlin import rref_mod
-    d = a.shape[0]
-    assert a.shape == (d, d)
-    aug, piv = rref_mod(np.hstack([a % p, np.eye(d, dtype=np.int64)]), p)
-    assert piv == list(range(d)), "matrix not invertible"
-    return aug[:, d:]
+    return matmul_mod(img_coeff, inv_mod_matrix(base_coeff, p), p)

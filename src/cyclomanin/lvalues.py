@@ -10,8 +10,8 @@ rho on the cyclotomic symbol module, are both plain finite sums here.
 
 import numpy as np
 
-from .cyclok2 import rho_basis, xi_class
-from .exactlin import kernel_mod, omega_pow
+from .cyclok2 import build_cyclo_module, rho_basis, xi_class
+from .exactlin import check_prime, check_weight, kernel_mod, power_table
 from .reports import CheckReport
 
 S = (0, -1, 1, 0)     # order-4 rotation
@@ -38,46 +38,18 @@ def poly_act_matrix(sigma, r, p):
     Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  The image
     of X^j Y^(r-j) under (X,Y) -> (X,Y)sigma' is (dX-cY)^j (-bX+aY)^(r-j).
     """
-    a, b, c, d = (v % p for v in sigma)
+    pa, pmb, pmc, pd = power_table([sigma[0], -sigma[1], -sigma[2], sigma[3]], r, p)
     cols = np.zeros((r + 1, r + 1), dtype=np.int64)
     bt = binom_table(r, p)
     for j in range(r + 1):
         # (dX - cY)^j: coefficient of X^u Y^(j-u)
         u = np.arange(j + 1)
-        first = bt[j, u] * pow_arr(d, u, p) % p * pow_arr(-c, j - u, p) % p
+        first = bt[j, u] * pd[u] % p * pmc[j - u] % p
         # (-bX + aY)^(r-j): coefficient of X^v Y^(r-j-v)
         v = np.arange(r - j + 1)
-        second = bt[r - j, v] * pow_arr(-b, v, p) % p * pow_arr(a, r - j - v, p) % p
+        second = bt[r - j, v] * pmb[v] % p * pa[r - j - v] % p
         cols[:, j] = np.convolve(first, second) % p
     return cols % p
-
-
-def pow_arr_each(bases, e, p):
-    """bases**e mod p elementwise over an array of bases."""
-    out = np.ones_like(np.asarray(bases, dtype=np.int64))
-    val = np.asarray(bases, dtype=np.int64) % p
-    e = int(e)
-    while e > 0:
-        if e & 1:
-            out = out * val % p
-        e >>= 1
-        val = val * val % p
-    return out
-
-
-def pow_arr(base, exps, p):
-    """base**exps mod p elementwise; 0**0 = 1."""
-    base = base % p
-    exps = np.asarray(exps)
-    out = np.ones(exps.shape, dtype=np.int64)
-    val = base
-    e = exps.copy()
-    # square-and-multiply over the whole array (max exponent is ~2p)
-    while np.any(e > 0):
-        out = np.where(e & 1, out * val % p, out)
-        e >>= 1
-        val = val * val % p
-    return out
 
 
 class PolyVec:
@@ -228,15 +200,13 @@ def l_values_from_rho(module, rho, k):
     p = module.p
     if module.n != 1:
         raise ValueError("L-value sums are defined at level one")
-    if k % 2 or not 2 <= k < 2 * p:
-        raise ValueError("need even k with 2 <= k < 2p")
+    check_weight(k, p)
     rho = np.asarray(rho, dtype=np.int64) % p
     assert rho.shape == (module.dim,)
-    # rho(class(x,y)) over the unit grid, via the generator reducer
+    # rho(class(x,y)) over the unit grid, via the generator reducer; at
+    # n = 1 the generators are the unit pairs (x, y) in lex order
     grid = module.reduce_matrix @ rho % p            # one scalar per generator
-    units = np.arange(1, p)
-    xs = np.repeat(units, p - 1)
-    ys = np.tile(units, p - 1)
+    powers = power_table(np.arange(1, p), k - 2, p)  # powers[u - 1, e] = u^e
     vals = {}
     excluded = set()
     for i in range(k - 1):
@@ -244,7 +214,7 @@ def l_values_from_rho(module, rho, k):
         if i % (p - 1) == 0 or i % (p - 1) == (k - 2) % (p - 1):
             excluded.add(j)
             continue
-        weights = pow_arr_each(ys, i, p) * pow_arr_each(xs, k - 2 - i, p) % p
+        weights = np.outer(powers[:, k - 2 - i], powers[:, i]).ravel() % p
         total = int((weights * grid).sum() % p)
         if i % 2:
             total = (p - total) % p
@@ -265,11 +235,8 @@ def lvalue_identity_report(p, k, module=None):
     Runs over every rho in rho_basis of the symbol module at (p, 1); also
     re-derives the twist bookkeeping q^(k-2)(q+q^(2-k)) = 1+q^(k-1).
     """
-    from .cyclok2 import build_cyclo_module
-    if p <= 3:
-        raise ValueError("need p > 3")
-    if k % 2 or not 2 <= k < 2 * p:
-        raise ValueError("need even k with 2 <= k < 2p")
+    check_prime(p, least=5)
+    check_weight(k, p)
     if module is None:
         module = build_cyclo_module(p, 1)
     report = CheckReport("verify-lvalues", {"p": p, "k": k})

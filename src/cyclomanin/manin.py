@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import as_fp, matmul_mod, unit_group
+from .exactlin import as_fp, kernel_mod, matmul_mod, unit_group
 
 
 @lru_cache(maxsize=None)
@@ -104,21 +104,12 @@ class CoeffModule:
             self._cache[lam] = got
         return got
 
-    @property
-    def even(self):
-        """chi(-1) = 1, required for nonzero symbol spaces."""
-        return np.array_equal(self.act(self.pn - 1), np.eye(self.dim, dtype=np.int64))
-
     def __repr__(self):
         return f"CoeffModule({self.name}, p={self.p}, n={self.n}, dim={self.dim})"
 
 
 def trivial_coeffs(p, n=1):
     return CoeffModule(p, n, 1, lambda lam: np.array([[1]]), "trivial")
-
-
-def zero_coeffs(p, n=1):
-    return CoeffModule(p, n, 0, lambda lam: np.zeros((0, 0)), "zero")
 
 
 def power_character_coeffs(p, n, j):
@@ -295,7 +286,6 @@ def symbols_supported_at_infty(module):
     e(0,y) = -chi(y)m, zero off the axes; relation e(-x) = e(x) forces m
     to be fixed by chi(-1), so the basis runs over that fixed space.
     """
-    from .exactlin import kernel_mod
     p, pn, d = module.p, module.pn, module.dim
     points, _ = enumerate_X(p, module.n)
     fixed = kernel_mod(module.act(pn - 1) - np.eye(d, dtype=np.int64), p)

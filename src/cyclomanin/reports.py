@@ -7,7 +7,8 @@ class CheckReport:
     """Outcome of one verification command.
 
     Serializes deterministically: sorted keys, ints/strings/bools only,
-    no timestamps.  Process exit status is 0 iff every check passed.
+    no timestamps.  Process exit status is 0 iff every check passed, and
+    a report with no checks does not pass.
     """
 
     def __init__(self, command, params):
@@ -15,6 +16,8 @@ class CheckReport:
         self.params = dict(params)
         self.checks = []
         self.fixtures_written = []
+        # (header, rows) that --csv writes; kept out of the JSON report
+        self.table = None
 
     def add(self, name, passed, details=""):
         if not isinstance(details, (str, int, dict, list)):
@@ -24,7 +27,7 @@ class CheckReport:
 
     @property
     def all_pass(self):
-        return all(c["pass"] for c in self.checks)
+        return bool(self.checks) and all(c["pass"] for c in self.checks)
 
     def to_dict(self):
         return {

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cyclomanin.cli import main, parse_flags
+from cyclomanin.reports import CheckReport
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -144,6 +145,13 @@ def test_usage_errors_exit_two(capsys):
                  ["verify-manin", "--p", "5", "--flags", "F9"],
                  ["verify-lvalues", "--p", "5", "--k", "5"],
                  ["eis-dim", "--p", "7", "--k", "4", "--primes", "7"],
+                 ["eis-dim", "--p", "7", "--k", "4", "--primes", "1"],
+                 ["eis-dim", "--p", "7", "--k", "4", "--primes", "4"],
+                 ["eis-dim", "--p", "9", "--k", "4"],
+                 ["eis-dim", "--p", "3", "--k", "4"],
+                 ["verify-hecke", "--p", "37", "--q", "37"],
+                 ["verify-hecke", "--p", "7", "--q", "4"],
+                 ["lvalues", "--p", "5", "--k", "10"],
                  ["irregular-pairs", "--max-p", "2"],
                  ["no-such-command"],
                  []):
@@ -151,6 +159,13 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def test_report_without_checks_does_not_pass():
+    rep = CheckReport("verify-hecke", {})
+    assert not rep.all_pass
+    rep.add("one check", True)
+    assert rep.all_pass
 
 
 def test_parse_flags_forms():

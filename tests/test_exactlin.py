@@ -6,9 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cyclomanin.exactlin import (bernoulli_mod, bernoulli_over_k_mod,
-                                 coords_in_rowspace, inv_mod,
-                                 is_irregular_pair, kernel_mod, matmul_mod,
-                                 omega_pow, primitive_root, rref_mod,
+                                 check_prime, coords_in_rowspace, inv_mod,
+                                 inv_mod_matrix, is_irregular_pair, is_prime,
+                                 kernel_mod, matmul_mod, omega_pow,
+                                 power_table, primitive_root, rref_mod,
                                  unit_group)
 
 
@@ -74,6 +75,33 @@ def test_coords_rejects_outside_vectors():
     rref, piv = rref_mod(np.array([[1, 0, 2]], dtype=np.int64), 5)
     _, ok = coords_in_rowspace(rref, piv, np.array([0, 1, 0]), 5)
     assert not ok
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 37))
+def test_power_table_matches_pow(p):
+    bases = np.array([[0, 1, -1], [2, p - 2, 3 * p + 5]])
+    tab = power_table(bases, 2 * p, p)
+    assert tab.shape == (2, 3, 2 * p + 1)
+    for idx in np.ndindex(bases.shape):
+        b = int(bases[idx])
+        assert tab[idx].tolist() == [pow(b, e, p) for e in range(2 * p + 1)]
+    assert power_table(3, 4, p).tolist() == [pow(3, e, p) for e in range(5)]
+
+
+def test_prime_check_matches_sympy():
+    assert [n for n in range(-3, 200) if is_prime(n)] == \
+        [n for n in range(-3, 200) if sympy.isprime(n)]
+    check_prime(5, least=5)
+    for bad, least in ((4, 2), (9, 5), (3, 5), (1, 2), (-7, 2)):
+        with pytest.raises(ValueError):
+            check_prime(bad, least=least)
+
+
+def test_inv_mod_matrix():
+    a = np.array([[2, 1], [1, 1]], dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, inv_mod_matrix(a, 7), 7), np.eye(2))
+    with pytest.raises(ValueError):
+        inv_mod_matrix(np.array([[1, 2], [2, 4]], dtype=np.int64), 7)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 37))
