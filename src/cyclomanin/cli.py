@@ -178,8 +178,9 @@ def _build_parser():
 
     def add(name, func, help_text, **flag_spec):
         sp = sub.add_parser(name, help=help_text)
-        for flag, (kind, default, required) in flag_spec.items():
-            sp.add_argument(flag, type=kind, default=default, required=required)
+        for flag, (kind, default, required, *doc) in flag_spec.items():
+            sp.add_argument(flag, type=kind, default=default, required=required,
+                            help=doc[0] if doc else None)
         sp.add_argument("--csv", type=str, default="",
                         help="also write the report's table as CSV here")
         sp.set_defaults(func=func)
@@ -199,7 +200,10 @@ def _build_parser():
     add("eis-dim", cmd_eis_dim,
         "dimension of the plus-Eisenstein eigenspace at weight k",
         **{"--p": (int, None, True), "--k": (int, None, True),
-           "--primes": (str, "2", False)})
+           "--primes": (str, "2", False,
+                        "Hecke primes S, comma-separated (default 2); a small S "
+                        "can over-count at a regular pair, and the dimension can "
+                        "only fall as S grows")})
     add("irregular-pairs", cmd_irregular_pairs,
         "sweep irregular pairs (p, k) with p up to --max-p",
         **{"--max-p": (int, None, True)})

@@ -17,7 +17,9 @@ on cyclotomic p-units (working mod p with p odd, so 2-torsion dies):
 F5 and F6 are the Hecke eigenvalue identity e|T_q = (q + sigma_q) e, with
 e|T_q expanded through the closed-form terms of hecke.CLOSED_FORMS
 (Merel's coset data).  Each F4-F6 row is imposed wherever all of its
-slots are nonzero mod p^n, which gives the conditions listed.
+slots are nonzero mod p^n, which gives the conditions listed.  F7 is
+generated as term lists too, one family per k = v_p(x) < n, imposed at
+the pairs (u, y) with u a unit below p^(n-k).
 
 Only these relations are imposed; the module is therefore a cover of
 the actual symbol subgroup, which is the safe direction for verifying
@@ -29,14 +31,16 @@ in canonical-class coordinates.  Tests check this against a monolithic
 row reduction of the full generator-level relation matrix.
 """
 
+import os
 from functools import lru_cache
 
 import numpy as np
 
 from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
-                       omega_pow, primitive_root, rref_mod)
+                       omega_pow, primitive_root, quotient_map, rref_mod)
 from .hecke import CLOSED_FORMS, hecke_apply
-from .manin import CoeffModule, ManinTable, enumerate_X, is_supported_at_infty
+from .manin import (CoeffModule, ManinTable, enumerate_X, image_keys,
+                    is_supported_at_infty)
 from .reports import CheckReport
 
 ALL_FLAGS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -56,22 +60,33 @@ _RELATION_TERMS = {
 }
 
 
-def _f7_rows(pn, p, n):
-    """F7 term lists: (x, y, [beta...]) with e(x,y) = sum e(beta,y)."""
-    out = []
-    for x in range(1, pn):
-        if x % p != 0:
-            continue
-        k = 0
-        xx = x
-        while xx % p == 0:
-            xx //= p
-            k += 1
-        step = p ** (n - k)
-        betas = [(xx + t * step) % pn for t in range(p ** k)]
-        for y in range(1, pn):
-            out.append((x, y, betas))
-    return out
+def _f7_families(p, n, gens):
+    """F7 as (terms, rows_at), one family per k = v_p(x) < n.
+
+    For x = p^k u the row is e(x, y) - sum e(beta, y) over the units
+    beta = u mod p^(n-k).  It is imposed at the pairs (u, y) of gens with
+    u a unit below p^(n-k); beta is written u (1 + s p^(n-k)) for s < p^k,
+    so that every term is a matrix.
+    """
+    u = gens[:, 0]
+    return [([(1, (p**k, 0, 0, 1))]
+             + [(-1, (1 + s * p ** (n - k), 0, 0, 1)) for s in range(p**k)],
+             gens[(u % p != 0) & (u < p ** (n - k))])
+            for k in range(1, n)]
+
+
+def _check_dense_size(p, n, flags):
+    # the F4-F7 matrix has about (p^n - 1)^2 / 8 class columns and a row per
+    # generator for each F4-F6 family; rref_mod holds a reduced copy beside it
+    pn = p**n
+    rows = (pn - 1) ** 2 * len(flags & {"F4", "F5", "F6"})
+    rows += (p ** (n - 1) - 1) * (pn - 1) if "F7" in flags else 0
+    need = 2 * 8 * rows * ((pn - 1) ** 2 // 8)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"p^n = {pn} is too large: the dense relation matrix and "
+                         f"its reduced copy need about {need / 2**30:,.1f} GiB, more "
+                         f"than the {have / 2**30:,.1f} GiB of physical memory")
 
 
 class CycloModule:
@@ -90,6 +105,7 @@ class CycloModule:
         flags = frozenset(flags if flags is not None else ALL_FLAGS)
         if not flags >= {"F1", "F2", "F3", "F4"}:
             raise ValueError("relation families F1-F4 are always required")
+        _check_dense_size(p, n, flags)
         self.p, self.n, self.pn = p, n, p**n
         self.flags = flags
         pn = self.pn
@@ -105,86 +121,60 @@ class CycloModule:
     # -- stage 1: F1/F2/F3 as an orbit-with-sign canonicalization -----
 
     def _canonicalize(self):
-        pn = self.pn
-        x, y = self.gens[:, 0], self.gens[:, 1]
-        zero = ((x + y) % pn == 0) | (x == y)
-        same = np.stack([a * pn + b for a, b in
-                         [(x, y), (pn - x, y), (x, pn - y), (pn - x, pn - y)]]).min(axis=0)
-        swap = np.stack([a * pn + b for a, b in
-                         [(y, x), (pn - y, x), (y, pn - x), (pn - y, pn - x)]]).min(axis=0)
+        pn, gens = self.pn, self.gens
+        zero = (gens.sum(axis=1) % pn == 0) | (gens[:, 0] == gens[:, 1])
+        signs = [(s, t) for s in (1, -1) for t in (1, -1)]
+        same = np.min([image_keys(gens, pn, (s, 0, 0, t)) for s, t in signs], axis=0)
+        swap = np.min([image_keys(gens, pn, (0, s, t, 0)) for s, t in signs], axis=0)
         rep = np.minimum(same, swap)
         sign = np.where(same <= swap, 1, -1)
         rep[zero] = -1
         sign[zero] = 0
         live = np.unique(rep[rep >= 0])
-        clsmap = {int(r): i for i, r in enumerate(live)}
         self.class_reps = np.stack([live // pn, live % pn], axis=1)
         self.n_classes = len(live)
-        self.class_of_gen = np.array([clsmap.get(int(r), -1) for r in rep], dtype=np.int64)
+        self.class_of_gen = np.where(rep >= 0, np.searchsorted(live, rep), -1)
         self.sign_of_gen = sign.astype(np.int64)
 
     def _class_rows(self):
         """Stack the enabled F4-F7 relation rows in canonical-class coordinates.
 
-        An F4-F6 row is imposed at every generator (x,y) where all of its
-        slots are nonzero mod p^n.
+        Each family is imposed at its generators (all of them for F4-F6)
+        wherever all of its slots are nonzero mod p^n, i.e. wherever every
+        term's gen_index lookup is >= 0.
         """
         p, pn, n = self.p, self.pn, self.n
-        x, y = self.gens[:, 0], self.gens[:, 1]
-        blocks = []
-        for name, terms in _RELATION_TERMS.items():
-            if name not in self.flags:
-                continue
-            slots = [((a * x + b * y) % pn, (c * x + d * y) % pn)
-                     for _, (a, b, c, d) in terms]
-            mask = np.logical_and.reduce([(u != 0) & (v != 0) for u, v in slots])
+        families = [(terms, self.gens) for name, terms in _RELATION_TERMS.items()
+                    if name in self.flags]
+        if "F7" in self.flags:
+            families += _f7_families(p, n, self.gens)
+        blocks = [np.zeros((0, self.n_classes), dtype=np.int64)]
+        for terms, at in families:
+            lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
+            mask = np.logical_and.reduce([g >= 0 for g in lookups])
             ridx = np.arange(int(mask.sum()))
             rows = np.zeros((len(ridx), self.n_classes), dtype=np.int64)
-            for (coeff, _), (u, v) in zip(terms, slots):
-                g = self.gen_index[u[mask] * pn + v[mask]]
+            for (coeff, _), g in zip(terms, lookups):
+                g = g[mask]
                 cls = self.class_of_gen[g]
                 ok = cls >= 0
                 np.add.at(rows, (ridx[ok], cls[ok]), coeff * self.sign_of_gen[g[ok]])
             rows %= p
             blocks.append(rows)
-        if "F7" in self.flags and n > 1:
-            rows = []
-            for xc, yc, betas in _f7_rows(pn, p, n):
-                row = np.zeros(self.n_classes, dtype=np.int64)
-                g = self.gen_index[xc * pn + yc]
-                if self.class_of_gen[g] >= 0:
-                    row[self.class_of_gen[g]] += self.sign_of_gen[g]
-                for b in betas:
-                    gb = self.gen_index[b * pn + yc]
-                    if self.class_of_gen[gb] >= 0:
-                        row[self.class_of_gen[gb]] -= self.sign_of_gen[gb]
-                rows.append(row % p)
-            if rows:
-                blocks.append(np.stack(rows))
-        if not blocks:
-            return np.zeros((0, self.n_classes), dtype=np.int64)
         return np.vstack(blocks)
 
     # -- stage 2: row-reduce in class coordinates ----------------------
 
     def _reduce(self):
         p = self.p
-        rows = self._class_rows()
-        rref, pivots = rref_mod(rows, p)
-        piv_set = set(pivots)
-        free = [c for c in range(self.n_classes) if c not in piv_set]
+        rref, pivots = rref_mod(self._class_rows(), p)
+        free, self.class_to_quot = quotient_map(rref, pivots, self.n_classes, p)
         self.dim = len(free)
-        class_to_quot = np.zeros((self.n_classes, self.dim), dtype=np.int64)
-        for i, f in enumerate(free):
-            class_to_quot[f, i] = 1
-        for j, c in enumerate(pivots):
-            class_to_quot[c] = (-rref[j, free]) % p
-        self.class_to_quot = class_to_quot
         self.basis_pairs = self.class_reps[free]
         # generator -> quotient coordinates (zero rows for killed classes)
         rm = np.zeros((len(self.gens), self.dim), dtype=np.int64)
         ok = self.class_of_gen >= 0
-        rm[ok] = class_to_quot[self.class_of_gen[ok]] * self.sign_of_gen[ok, None] % p
+        rm[ok] = self.class_to_quot[self.class_of_gen[ok]] * self.sign_of_gen[ok, None] % p
         self.reduce_matrix = rm
 
     # -- public API ----------------------------------------------------
@@ -199,11 +189,12 @@ class CycloModule:
     def galois_matrix(self, lam):
         """Matrix of sigma_lam on the quotient (diagonal scaling of slots)."""
         lam = int(lam) % self.pn
+        if lam % self.p == 0:
+            raise ValueError(f"lambda = {lam} is not a unit mod {self.pn}")
         got = self._gal_cache.get(lam)
         if got is None:
-            cols = [self.gen_coords(lam * a, lam * b) for a, b in self.basis_pairs]
-            got = np.stack(cols, axis=1) if self.dim else np.zeros((0, 0), dtype=np.int64)
-            self._gal_cache[lam] = got
+            keys = image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))
+            got = self._gal_cache[lam] = self.reduce_matrix[self.gen_index[keys]].T
         return got
 
     def __repr__(self):
@@ -227,7 +218,8 @@ class SymbolClass:
         return not self.coords.any()
 
     def __add__(self, other):
-        assert self.module is other.module
+        if self.module is not other.module:
+            raise ValueError("classes of different modules")
         return SymbolClass(self.module, (self.coords + other.coords) % self.module.p)
 
     def __sub__(self, other):
@@ -257,12 +249,9 @@ def quotient_coeffs(module):
 def e_table(module):
     """The raw table (x,y) -> class{1-z^x, 1-z^y} over X_n, unvalidated."""
     points, _ = enumerate_X(module.p, module.n)
-    pn = module.pn
-    vals = np.zeros((len(points), module.dim), dtype=np.int64)
-    both = (points[:, 0] != 0) & (points[:, 1] != 0)
-    vals[both] = module.reduce_matrix[
-        module.gen_index[points[both, 0] * pn + points[both, 1]]]
-    return ManinTable(quotient_coeffs(module), vals)
+    g = module.gen_index[points[:, 0] * module.pn + points[:, 1]]   # -1 on the axes
+    return ManinTable(quotient_coeffs(module),
+                      np.where(g[:, None] >= 0, module.reduce_matrix[g], 0))
 
 
 def e_manin(module):

@@ -11,7 +11,8 @@ pairs.
 import numpy as np
 
 from .exactlin import (bernoulli_over_k_mod, check_prime, check_weight,
-                       coords_in_rowspace, inv_mod, kernel_mod, rref_mod)
+                       coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
+                       quotient_map, rref_mod)
 from .hecke import merel_set
 from .lvalues import S, dual_act_matrix, gamma_infty_invariants
 
@@ -25,7 +26,7 @@ def level1_space(k, p):
     eye = np.eye(r + 1, dtype=np.int64)
     bs = dual_act_matrix(S, r, p)
     bu = dual_act_matrix(U, r, p)
-    stacked = np.vstack([(bs + eye) % p, (bu @ bu % p + bu + eye) % p])
+    stacked = np.vstack([(bs + eye) % p, (matmul_mod(bu, bu, p) + bu + eye) % p])
     return kernel_mod(stacked, p)
 
 
@@ -52,22 +53,13 @@ def conj_matrix(r, p):
 def boundary_space(k, p):
     """Basis rows of the boundary subspace of level1_space.
 
-    Spanned by lam - lam|S over the Gamma_infty-invariant lam, then
-    intersected with the level-one relation space.
+    Spanned by lam - lam|S over the Gamma_infty-invariant lam;
+    _quotient_setup checks that it lies in the level-one space.
     """
-    r = k - 2
-    rows = []
-    for lam in gamma_infty_invariants(r, p):
-        rows.append((lam.coords - lam.act(S).coords) % p)
-    if not rows:
-        return np.zeros((0, r + 1), dtype=np.int64)
-    span, _ = rref_mod(np.array(rows, dtype=np.int64), p)
-    level = level1_space(k, p)
-    lref, lpiv = rref_mod(level, p)
-    _, inside = coords_in_rowspace(lref, lpiv, span, p)
-    if not inside.all():
-        raise RuntimeError("boundary symbols must satisfy the level-one relations")
-    return span
+    check_weight(k, p)
+    rows = [(lam.coords - lam.act(S).coords) % p
+            for lam in gamma_infty_invariants(k - 2, p)]
+    return rref_mod(np.reshape(rows, (-1, k - 1)), p)[0]
 
 
 def _quotient_setup(k, p):
@@ -84,20 +76,14 @@ def _quotient_setup(k, p):
     bcoords, ok = coords_in_rowspace(lref, lpiv, bnd, p)
     if not ok.all():
         raise RuntimeError("boundary space must lie in the level-one space")
-    bref, bpiv = rref_mod(bcoords, p) if len(bcoords) else (np.zeros((0, nl), dtype=np.int64), [])
-    free = [c for c in range(nl) if c not in set(bpiv)]
-    # quotient coordinates: free coordinates after eliminating boundary pivots
-    quot = np.zeros((nl, len(free)), dtype=np.int64)
-    for row_i, c in enumerate(free):
-        quot[c, row_i] = 1
-    for i, c in enumerate(bpiv):
-        quot[c] = (-bref[i][free]) % p
+    bref, bpiv = rref_mod(bcoords, p)
+    free, quot = quotient_map(bref, bpiv, nl, p)
     return lref, lpiv, quot, free, (nl, len(bpiv), len(free))
 
 
 def _op_on_level(mat, lref, lpiv, p):
     """Restrict an operator matrix on V_r to level coordinates (rows act)."""
-    image = lref @ mat.T % p
+    image = matmul_mod(lref, mat.T, p)
     coords, ok = coords_in_rowspace(lref, lpiv, image, p)
     if not ok.all():
         raise RuntimeError("operator must preserve the level-one relation space")
@@ -109,7 +95,8 @@ class EisReport:
 
     def __init__(self, p, k, primes, dim_total, dim_boundary, dim_parabolic,
                  dim_plus_eisenstein, eigenvalues):
-        assert dim_parabolic == dim_total - dim_boundary
+        if dim_parabolic != dim_total - dim_boundary:
+            raise ValueError("the parabolic dimension must be total - boundary")
         self.p = p
         self.k = k
         self.primes = tuple(primes)
@@ -145,7 +132,7 @@ def _eisenstein_space(p, k, primes):
     lref, lpiv, quot, free, dims = _quotient_setup(k, p)
     eye = np.eye(dims[2], dtype=np.int64)
     conj_q = _quotient_op(conj_matrix(r, p), lref, lpiv, quot, free, p)
-    if not np.array_equal(conj_q @ conj_q % p, eye):
+    if not np.array_equal(matmul_mod(conj_q, conj_q, p), eye):
         raise RuntimeError("conjugation must be an involution on the quotient")
     space = _intersect_eigen(eye, conj_q, 1, p)
     tmats, eigenvalues = {}, {}
@@ -174,17 +161,16 @@ def _quotient_op(mat, lref, lpiv, quot, free, p):
     """
     on_level = _op_on_level(mat, lref, lpiv, p)
     a_level = on_level.T % p
-    return quot.T @ a_level[:, free] % p
+    return matmul_mod(quot.T, a_level[:, free], p)
 
 
 def _intersect_eigen(space_rows, op, ev, p):
     """Rows spanning {v in row space : op v = ev v}."""
     if space_rows.shape[0] == 0:
         return space_rows
-    image = space_rows @ op.T % p
-    diff = (image - ev * space_rows) % p
+    diff = (matmul_mod(space_rows, op.T, p) - ev * space_rows) % p
     coeff = kernel_mod(diff.T, p)     # combinations of the rows that die
-    return coeff @ space_rows % p
+    return matmul_mod(coeff, space_rows, p)
 
 
 def eis_eigenvector(p, k, primes=(2,)):

@@ -21,7 +21,9 @@ def is_prime(n):
 
 
 def check_prime(n, least=2, name="p"):
-    """Raise ValueError unless n is a prime >= least."""
+    """Raise ValueError unless n is a prime >= least with int64-safe n^2."""
+    if n * n >= 2**63:
+        raise ValueError(f"{name} = {n} is too large: need {name}^2 < 2^63")
     if n < least or not is_prime(n):
         raise ValueError(f"{name} must be a prime >= {least}, got {n}")
 
@@ -58,9 +60,9 @@ def as_fp(a, p):
 def matmul_mod(a, b, p):
     """Exact a @ b mod p.
 
-    Routes through float64 BLAS when the dot products fit below 2^53,
-    which covers every modulus this package uses; otherwise falls back
-    to int64 (exact below 2^63).
+    Routes through float64 BLAS when the dot products fit below 2^53;
+    otherwise falls back to int64, and raises ValueError when they could
+    reach 2^62.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -68,7 +70,9 @@ def matmul_mod(a, b, p):
     if inner * (p - 1) ** 2 < _F64_EXACT:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
-    assert inner * (p - 1) ** 2 < 2**62
+    if inner * (p - 1) ** 2 >= 2**62:
+        raise ValueError(f"p = {p} is too large for exact int64 dot products "
+                         f"of length {inner}")
     return (a @ b) % p
 
 
@@ -130,21 +134,27 @@ def rref_mod(a, p):
     return basis, pivots
 
 
+def quotient_map(rref, pivots, ncols, p):
+    """The map from F_p^ncols onto F_p^ncols / rowspace(rref).
+
+    Returns (free, Q): free lists the non-pivot columns, and the class
+    of a row vector v has coordinates v @ Q, with Q[free] = I and
+    Q[pivots] = -rref[:, free].
+    """
+    free = np.delete(np.arange(ncols), pivots)
+    q = np.zeros((ncols, len(free)), dtype=np.int64)
+    q[free, np.arange(len(free))] = 1
+    q[list(pivots)] = -rref[:, free] % p
+    return free, q
+
+
 def kernel_from_rref(rref, pivots, ncols, p):
     """Right-kernel basis rows, each scaled so its first nonzero entry is 1."""
-    piv_set = set(pivots)
-    free = [c for c in range(ncols) if c not in piv_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, c in enumerate(pivots):
-            basis[row, c] = (-int(rref[i, f])) % p
-    for row in range(len(free)):
-        nz = np.nonzero(basis[row])[0]
-        lead = int(basis[row, nz[0]])
-        if lead != 1:
-            basis[row] = basis[row] * inv_mod(lead, p) % p
-    return basis
+    basis = quotient_map(rref, pivots, ncols, p)[1].T
+    if not len(basis):
+        return np.zeros((0, ncols), dtype=np.int64)
+    lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
+    return basis * np.array([inv_mod(v, p) for v in lead])[:, None] % p
 
 
 def kernel_mod(a, p):
@@ -173,12 +183,8 @@ def coords_in_rowspace(rref, pivots, v, p):
     v = np.mod(np.asarray(v, dtype=np.int64), p)
     single = v.ndim == 1
     vv = np.atleast_2d(v)
-    if len(pivots) == 0:
-        ok = ~vv.any(axis=1)
-        coeff = np.zeros((vv.shape[0], 0), dtype=np.int64)
-    else:
-        coeff = vv[:, pivots]
-        ok = ((vv - matmul_mod(coeff, rref, p)) % p == 0).all(axis=1)
+    coeff = vv[:, list(pivots)]
+    ok = ((vv - matmul_mod(coeff, rref, p)) % p == 0).all(axis=1)
     if single:
         return (coeff[0], bool(ok[0]))
     return coeff, ok
@@ -250,7 +256,8 @@ class BernoulliValue:
 
 def _bernoulli_table_mod(k, p):
     # B_0..B_k mod p by the cleared-denominator recursion; valid for k < p-1
-    assert k < p - 1
+    if k >= p - 1:
+        raise ValueError(f"the recursion needs k < p - 1, got k={k} at p={p}")
     tab = [0] * (k + 1)
     tab[0] = 1
     if k >= 1:

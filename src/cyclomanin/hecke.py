@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactlin import coords_in_rowspace, inv_mod_matrix, matmul_mod, rref_mod
-from .manin import ManinTable
+from .manin import ManinTable, image_keys
 
 
 @lru_cache(maxsize=None)
@@ -41,16 +41,21 @@ def merel_set(m):
     return tuple(sorted(found))
 
 
-def hecke_apply(e, m):
-    """Merel's sum for T_m on a Manin table; kills non-primitive images."""
-    p, pn = e.p, e.pn
-    xs, ys = e.points[:, 0], e.points[:, 1]
+def _term_sum(e, terms):
+    # sum of e(a*x + b*y, c*x + d*y) over (a, b, c, d) in terms; a
+    # non-primitive image counts 0
     out = np.zeros_like(e.values)
-    for a, b, c, d in merel_set(m):
-        tgt = e.index[((xs * a + ys * c) % pn) * pn + ((xs * b + ys * d) % pn)]
+    for mat in terms:
+        tgt = e.index[image_keys(e.points, e.pn, mat)]
         ok = tgt >= 0
         out[ok] += e.values[tgt[ok]]
-    return ManinTable(e.module, out % p, validated=e.validated)
+    return ManinTable(e.module, out % e.p, validated=e.validated)
+
+
+def hecke_apply(e, m):
+    """Merel's sum for T_m on a Manin table; kills non-primitive images."""
+    # (x, y) times the row-vector matrix (a b; c d) is (a*x + c*y, b*x + d*y)
+    return _term_sum(e, [(a, c, b, d) for a, b, c, d in merel_set(m)])
 
 
 # Each (a, b, c, d) is the term e(a*x + b*y, c*x + d*y) of (e|T_q)(x,y);
@@ -75,14 +80,7 @@ def hecke_closed_form(e, q):
     """
     if q not in CLOSED_FORMS:
         raise ValueError("closed forms exist for q in {2, 3} only")
-    p, pn = e.p, e.pn
-    xs, ys = e.points[:, 0], e.points[:, 1]
-    out = np.zeros_like(e.values)
-    for ca, cb, cc, cd in CLOSED_FORMS[q]:
-        tgt = e.index[((ca * xs + cb * ys) % pn) * pn + ((cc * xs + cd * ys) % pn)]
-        ok = tgt >= 0
-        out[ok] += e.values[tgt[ok]]
-    return ManinTable(e.module, out % p, validated=e.validated)
+    return _term_sum(e, CLOSED_FORMS[q])
 
 
 def hecke_matrix(tables, m):
@@ -97,7 +95,8 @@ def hecke_matrix(tables, m):
     if len(piv) != len(tables):
         raise ValueError("tables must be linearly independent")
     base_coeff, ok = coords_in_rowspace(rref, piv, basis, p)
-    assert ok.all()
+    if not ok.all():
+        raise RuntimeError("tables must lie in their own row space")
     # change of basis: basis = base_coeff @ rref
     images = np.stack([hecke_apply(t, m).values.ravel() for t in tables])
     img_coeff, ok = coords_in_rowspace(rref, piv, images, p)

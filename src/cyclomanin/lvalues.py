@@ -11,7 +11,8 @@ rho on the cyclotomic symbol module, are both plain finite sums here.
 import numpy as np
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
-from .exactlin import check_prime, check_weight, kernel_mod, power_table
+from .exactlin import (check_prime, check_weight, kernel_mod, matmul_mod,
+                       power_table)
 from .reports import CheckReport
 
 S = (0, -1, 1, 0)     # order-4 rotation
@@ -57,14 +58,15 @@ class PolyVec:
 
     def __init__(self, r, coeffs, p):
         coeffs = np.asarray(coeffs, dtype=np.int64) % p
-        assert coeffs.shape == (r + 1,)
+        if coeffs.shape != (r + 1,):
+            raise ValueError(f"need {r + 1} coefficients, got shape {coeffs.shape}")
         self.r = r
         self.p = p
         self.coeffs = coeffs
 
     def act(self, sigma):
         mat = poly_act_matrix(sigma, self.r, self.p)
-        return PolyVec(self.r, mat @ self.coeffs % self.p, self.p)
+        return PolyVec(self.r, matmul_mod(mat, self.coeffs, self.p), self.p)
 
     def __eq__(self, other):
         return (self.r == other.r and self.p == other.p
@@ -88,14 +90,15 @@ class DualVec:
 
     def __init__(self, r, coords, p):
         coords = np.asarray(coords, dtype=np.int64) % p
-        assert coords.shape == (r + 1,)
+        if coords.shape != (r + 1,):
+            raise ValueError(f"need {r + 1} coordinates, got shape {coords.shape}")
         self.r = r
         self.p = p
         self.coords = coords
 
     def act(self, sigma):
         mat = dual_act_matrix(sigma, self.r, self.p)
-        return DualVec(self.r, mat @ self.coords % self.p, self.p)
+        return DualVec(self.r, matmul_mod(mat, self.coords, self.p), self.p)
 
     def __eq__(self, other):
         return (self.r == other.r and self.p == other.p
@@ -110,7 +113,8 @@ def lambda_basis_vec(r, i, p):
 
 def pairing(lam, f):
     """Canonical pairing V_r x W_r -> F_p."""
-    assert lam.r == f.r and lam.p == f.p
+    if (lam.r, lam.p) != (f.r, f.p):
+        raise ValueError("pairing needs the same weight and prime on both sides")
     r, p = lam.r, lam.p
     i = np.arange(r + 1)
     signs = np.where(i % 2, p - 1, 1)
@@ -119,7 +123,8 @@ def pairing(lam, f):
 
 def perfect_pairing(f, g):
     """The M_2^+(Z)-equivariant pairing on W_r; needs r! invertible (r < p)."""
-    assert f.r == g.r and f.p == g.p
+    if (f.r, f.p) != (g.r, g.p):
+        raise ValueError("pairing needs the same weight and prime on both sides")
     r, p = f.r, f.p
     if r >= p:
         raise ValueError("perfect pairing needs r < p (r! invertible)")
@@ -182,8 +187,8 @@ class LValueVector:
         self.p = p
         self.values = values
         self.excluded = excluded
-        assert set(values) | excluded == set(range(1, k))
-        assert not set(values) & excluded
+        if set(values) | excluded != set(range(1, k)) or set(values) & excluded:
+            raise ValueError("values and excluded must partition 1..k-1")
 
     def to_dict(self):
         out = {str(j): ("excluded" if j in self.excluded else int(self.values[j]))
@@ -202,10 +207,11 @@ def l_values_from_rho(module, rho, k):
         raise ValueError("L-value sums are defined at level one")
     check_weight(k, p)
     rho = np.asarray(rho, dtype=np.int64) % p
-    assert rho.shape == (module.dim,)
+    if rho.shape != (module.dim,):
+        raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
     # rho(class(x,y)) over the unit grid, via the generator reducer; at
     # n = 1 the generators are the unit pairs (x, y) in lex order
-    grid = module.reduce_matrix @ rho % p            # one scalar per generator
+    grid = matmul_mod(module.reduce_matrix, rho, p)  # one scalar per generator
     powers = power_table(np.arange(1, p), k - 2, p)  # powers[u - 1, e] = u^e
     vals = {}
     excluded = set()
@@ -250,7 +256,7 @@ def lvalue_identity_report(p, k, module=None):
             if i in lv.excluded:
                 table[i] = "excluded"
                 continue
-            want = int(xi_class(module, i, k).coords @ rho % p)
+            want = int(matmul_mod(xi_class(module, i, k).coords, rho, p))
             got = lv.values[i]
             table[i] = got
             ok_odd = ok_odd and got == want

@@ -73,7 +73,8 @@ def section_gamma(pt, p, n):
         a, b = a - t * c, b - t * d
     else:
         b -= (b // d) * d
-    assert a * d - b * c == 1
+    if a * d - b * c != 1:
+        raise RuntimeError(f"section of {pt} has determinant {a * d - b * c}")
     return np.array([[a, b], [c, d]], dtype=np.int64)
 
 
@@ -143,11 +144,19 @@ def group_algebra_coeffs(p, n=1):
     return CoeffModule(p, n, dim, act, "group-algebra")
 
 
-def _perm(points, index, pn, fx, fy):
-    # row permutation of X induced by (x,y) -> (fx,fy) mod pn
+def image_keys(points, pn, mat):
+    """Grid keys u*pn + v of (u, v) = (a*x + b*y, c*x + d*y) mod pn, for
+    the rows (x, y) of points and mat = (a, b, c, d)."""
+    a, b, c, d = mat
     xs, ys = points[:, 0], points[:, 1]
-    tgt = index[(fx(xs, ys) % pn) * pn + (fy(xs, ys) % pn)]
-    assert (tgt >= 0).all()
+    return (a * xs + b * ys) % pn * pn + (c * xs + d * ys) % pn
+
+
+def _perm(points, index, pn, mat):
+    # row permutation of X induced by (x, y) -> image under mat mod pn
+    tgt = index[image_keys(points, pn, mat)]
+    if (tgt < 0).any():
+        raise ValueError(f"{mat} does not permute the primitive pairs mod {pn}")
     return tgt
 
 
@@ -171,14 +180,13 @@ class ManinTable:
         return self.values[i]
 
     def __add__(self, other):
-        assert self.module is other.module
+        if self.module is not other.module:
+            raise ValueError("tables over different coefficient modules")
         return ManinTable(self.module, (self.values + other.values) % self.p,
                           self.validated and other.validated)
 
     def __sub__(self, other):
-        assert self.module is other.module
-        return ManinTable(self.module, (self.values - other.values) % self.p,
-                          self.validated and other.validated)
+        return self + other.scale(-1)
 
     def scale(self, c):
         return ManinTable(self.module, self.values * (int(c) % self.p) % self.p,
@@ -199,18 +207,18 @@ class ManinTable:
         out = {}
         bad = None
         for lam in unit_group(pn):
-            perm1 = _perm(pts, idx, pn, lambda x, y: lam * x, lambda x, y: lam * y)
+            perm1 = _perm(pts, idx, pn, (lam, 0, 0, lam))
             acted = matmul_mod(self.module.act(lam), vals.T, p).T
             miss = np.nonzero(((vals[perm1] - acted) % p).any(axis=1))[0]
             if len(miss):
                 bad = (int(pts[miss[0]][0]), int(pts[miss[0]][1]), int(lam))
                 break
         out["unit-diagonal"] = bad
-        perm2 = _perm(pts, idx, pn, lambda x, y: y, lambda x, y: -x)
+        perm2 = _perm(pts, idx, pn, (0, 1, -1, 0))
         miss = np.nonzero(((vals + vals[perm2]) % p).any(axis=1))[0]
         out["two-term"] = tuple(map(int, pts[miss[0]])) if len(miss) else None
-        g1 = _perm(pts, idx, pn, lambda x, y: y, lambda x, y: -x - y)
-        g2 = _perm(pts, idx, pn, lambda x, y: -x - y, lambda x, y: x)
+        g1 = _perm(pts, idx, pn, (0, 1, -1, -1))
+        g2 = _perm(pts, idx, pn, (-1, -1, 1, 0))
         miss = np.nonzero(((vals + vals[g1] + vals[g2]) % p).any(axis=1))[0]
         out["three-term"] = tuple(map(int, pts[miss[0]])) if len(miss) else None
         return out
@@ -247,29 +255,21 @@ def manin_relation_space(module):
     p, pn, d = module.p, module.pn, module.dim
     points, index = enumerate_X(p, module.n)
     npts = len(points)
-    rows = []
+    at = np.arange(npts)
 
-    def block(coeffs):
-        row = np.zeros((d, npts * d), dtype=np.int64)
-        for pt_i, mat in coeffs:
-            row[:, pt_i * d:(pt_i + 1) * d] = (row[:, pt_i * d:(pt_i + 1) * d] + mat) % p
-        return row
+    def block(terms):
+        # one relation per point i: the sum over terms of mat at point perm[i]
+        out = np.zeros((npts, d, npts, d), dtype=np.int64)
+        for mat, perm in terms:
+            out[at, :, perm, :] += mat
+        return out.reshape(npts * d, npts * d) % p
 
     eye = np.eye(d, dtype=np.int64)
-    for lam in unit_group(pn):
-        g = module.act(lam)
-        perm1 = _perm(points, index, pn, lambda x, y: lam * x, lambda x, y: lam * y)
-        for i in range(npts):
-            rows.append(block([(perm1[i], eye), (i, (-g) % p)]))
-    perm2 = _perm(points, index, pn, lambda x, y: y, lambda x, y: -x)
-    for i in range(npts):
-        rows.append(block([(i, eye), (perm2[i], eye)]))
-    g1 = _perm(points, index, pn, lambda x, y: y, lambda x, y: -x - y)
-    g2 = _perm(points, index, pn, lambda x, y: -x - y, lambda x, y: x)
-    for i in range(npts):
-        rows.append(block([(i, eye), (g1[i], eye), (g2[i], eye)]))
-    if not rows:
-        return np.zeros((0, npts * d), dtype=np.int64)
+    rows = [block([(eye, _perm(points, index, pn, (lam, 0, 0, lam))),
+                   (-module.act(lam), at)]) for lam in unit_group(pn)]
+    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, 0)))]))
+    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, -1))),
+                       (eye, _perm(points, index, pn, (-1, -1, 1, 0)))]))
     return np.vstack(rows)
 
 

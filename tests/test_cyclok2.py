@@ -8,13 +8,15 @@ a transcription slip in either shows up as a dimension or zero-pattern
 mismatch.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cyclomanin.cyclok2 import (ALL_FLAGS, build_cyclo_module, e_manin,
-                                e_table, eigen_projector, quotient_coeffs,
-                                rho_basis, symbol_class, verify_hecke_eigenvalue,
-                                xi_class)
+from cyclomanin.cyclok2 import (ALL_FLAGS, _f7_families, build_cyclo_module,
+                                e_manin, e_table, eigen_projector,
+                                quotient_coeffs, rho_basis, symbol_class,
+                                verify_hecke_eigenvalue, xi_class)
 from cyclomanin.exactlin import is_irregular_pair, matmul_mod
 from cyclomanin.manin import is_supported_at_infty
 
@@ -133,6 +135,9 @@ def test_module_validates_arguments():
         build_cyclo_module(5, 0)
     with pytest.raises(ValueError):
         build_cyclo_module(5, 1, ("F1", "F2"))
+    # refused from the size estimate, before the ~10 TB matrix is allocated
+    with pytest.raises(ValueError, match="p\\^n = 1369 is too large"):
+        build_cyclo_module(37, 2)
 
 
 def test_build_is_cached():
@@ -223,6 +228,37 @@ def test_f7_norm_compatibility_classes():
                     term = symbol_class(module, beta, y)
                     rhs = term if rhs is None else rhs + term
             assert lhs == rhs
+
+
+def test_f7_terms_match_enumeration():
+    # p^n = 125 has the families k = 1 and k = 2; a full M_{5,3} build is
+    # too slow for the suite, so compare the generated rows themselves
+    p, n, pn = 5, 3, 125
+    gens = np.array([(x, y) for x in range(1, pn) for y in range(1, pn)])
+    got = []
+    for terms, at in _f7_families(p, n, gens):
+        for u, y in at:
+            row = Counter()
+            for coeff, (a, b, c, d) in terms:
+                row[((a * u + b * y) % pn, (c * u + d * y) % pn)] += coeff
+            got.append(sorted(row.items()))
+    want = []
+    for x in range(p, pn, p):
+        k = 1 if x % p**2 else 2
+        u = x // p**k
+        for y in range(1, pn):
+            row = Counter({(x, y): 1})
+            for t in range(p**k):
+                row[((u + t * p ** (n - k)) % pn, y)] -= 1
+            want.append(sorted(row.items()))
+    assert sorted(got) == sorted(want)
+
+
+def test_galois_matrix_rejects_non_units():
+    module = build_cyclo_module(5, 2)
+    for lam in (0, 5, 30):
+        with pytest.raises(ValueError):
+            module.galois_matrix(lam)
 
 
 def test_eigen_projectors_decompose_the_identity():

@@ -86,6 +86,15 @@ def test_eis_dimension_is_stable_under_more_primes():
     assert one == two == 1
 
 
+@pytest.mark.parametrize("p,k,primes,dim", (
+    (59, 30, (2,), 1), (59, 30, (2, 3), 0),
+    (139, 70, (2, 3), 1), (139, 70, (2, 3, 5), 0)))
+def test_small_hecke_sets_over_count_at_regular_pairs(p, k, primes, dim):
+    # (59, 30) and (139, 70) are regular; a small S leaves a spurious line
+    # that a larger S removes, so eis-dim with the default S = {2} fails there
+    assert eis_eigenspace(p, k, primes).dim_plus_eisenstein == dim
+
+
 def test_regular_pair_has_no_eisenstein_classes():
     rep = eis_eigenspace(7, 4, primes=(2, 3))
     assert rep.dim_plus_eisenstein == 0

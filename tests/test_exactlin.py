@@ -9,8 +9,8 @@ from cyclomanin.exactlin import (bernoulli_mod, bernoulli_over_k_mod,
                                  check_prime, coords_in_rowspace, inv_mod,
                                  inv_mod_matrix, is_irregular_pair, is_prime,
                                  kernel_mod, matmul_mod, omega_pow,
-                                 power_table, primitive_root, rref_mod,
-                                 unit_group)
+                                 power_table, primitive_root, quotient_map,
+                                 rref_mod, unit_group)
 
 
 @st.composite
@@ -92,9 +92,35 @@ def test_prime_check_matches_sympy():
     assert [n for n in range(-3, 200) if is_prime(n)] == \
         [n for n in range(-3, 200) if sympy.isprime(n)]
     check_prime(5, least=5)
-    for bad, least in ((4, 2), (9, 5), (3, 5), (1, 2), (-7, 2)):
+    check_prime(3037000493)          # the largest prime with p^2 < 2^63
+    for bad, least in ((4, 2), (9, 5), (3, 5), (1, 2), (-7, 2), (3037000507, 2)):
         with pytest.raises(ValueError):
             check_prime(bad, least=least)
+
+
+def test_matmul_mod_int64_branch_and_bound():
+    rng = np.random.default_rng(3)
+    for p in (100000007, 2147483647):
+        a = rng.integers(0, p, size=(2, 3))
+        b = rng.integers(0, p, size=(3, 2))
+        want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(3)) % p
+                 for j in range(2)] for i in range(2)]
+        if 3 * (p - 1) ** 2 < 2**62:
+            assert matmul_mod(a, b, p).tolist() == want
+        else:
+            with pytest.raises(ValueError, match=f"p = {p} is too large"):
+                matmul_mod(a, b, p)
+
+
+def test_quotient_map_kills_the_row_space():
+    a = np.array([[1, 2, 0, 3], [0, 0, 1, 4]])
+    rref, piv = rref_mod(a, 5)
+    free, q = quotient_map(rref, piv, 4, 5)
+    assert free.tolist() == [1, 3]
+    assert not matmul_mod(a, q, 5).any()
+    assert q[free].tolist() == [[1, 0], [0, 1]]
+    free, q = quotient_map(np.zeros((0, 3), dtype=np.int64), [], 3, 5)
+    assert q.tolist() == np.eye(3).tolist()
 
 
 def test_inv_mod_matrix():

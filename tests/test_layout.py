@@ -19,3 +19,12 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not local, f"function-local imports at {', '.join(local)}"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    # python -O strips assert statements, so no check may rely on one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements at {', '.join(found)}"
