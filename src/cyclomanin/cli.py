@@ -15,7 +15,8 @@ import sys
 from .cyclok2 import (ALL_FLAGS, build_cyclo_module, e_table, rho_basis,
                       verify_hecke_eigenvalue)
 from .eisspace import eis_eigenspace
-from .exactlin import check_weight, is_irregular_pair, is_prime
+from .exactlin import (check_weight, irregular_weights, is_irregular_pair,
+                       is_prime)
 from .lvalues import l_values_from_rho, lvalue_identity_report
 from .reports import CheckReport, canonical_json
 
@@ -86,9 +87,7 @@ def cmd_irregular_pairs(args):
         if not is_prime(p):
             continue
         nprimes += 1
-        for k in range(2, p - 2, 2):
-            if is_irregular_pair(p, k):
-                pairs.append([p, k])
+        pairs += [[p, k] for k in irregular_weights(p)]
     rep = CheckReport("irregular-pairs", {"max_p": args.max_p})
     rep.add(f"swept {nprimes} primes", True, {"pairs": pairs})
     rep.table = (("p", "k"), pairs)

@@ -26,9 +26,10 @@ the actual symbol subgroup, which is the safe direction for verifying
 identities proved from these relations alone.
 
 The quotient is built in two stages: F1+F2+F3 are an orbit/sign
-canonicalization (computed combinatorially), then F4-F7 are row-reduced
-in canonical-class coordinates.  Tests check this against a monolithic
-row reduction of the full generator-level relation matrix.
+canonicalization (computed combinatorially), then the F4-F7 rows are
+written into one array in canonical-class coordinates and row-reduced.
+Tests check this against a monolithic row reduction of the full
+generator-level relation matrix.
 """
 
 import os
@@ -39,8 +40,7 @@ import numpy as np
 from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
                        omega_pow, primitive_root, quotient_map, rref_mod)
 from .hecke import CLOSED_FORMS, hecke_apply
-from .manin import (CoeffModule, ManinTable, enumerate_X, image_keys,
-                    is_supported_at_infty)
+from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
 
 ALL_FLAGS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -77,7 +77,8 @@ def _f7_families(p, n, gens):
 
 def _check_dense_size(p, n, flags):
     # the F4-F7 matrix has about (p^n - 1)^2 / 8 class columns and a row per
-    # generator for each F4-F6 family; rref_mod holds a reduced copy beside it
+    # generator for each F4-F6 family; twice its size covers the peak, which
+    # adds rref_mod's working blocks and the term lookups to the matrix
     pn = p**n
     rows = (pn - 1) ** 2 * len(flags & {"F4", "F5", "F6"})
     rows += (p ** (n - 1) - 1) * (pn - 1) if "F7" in flags else 0
@@ -85,7 +86,7 @@ def _check_dense_size(p, n, flags):
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"p^n = {pn} is too large: the dense relation matrix and "
-                         f"its reduced copy need about {need / 2**30:,.1f} GiB, more "
+                         f"its elimination need about {need / 2**30:,.1f} GiB, more "
                          f"than the {have / 2**30:,.1f} GiB of physical memory")
 
 
@@ -116,7 +117,6 @@ class CycloModule:
         self.gen_index[self.gens[:, 0] * pn + self.gens[:, 1]] = np.arange(len(self.gens))
         self._canonicalize()
         self._reduce()
-        self._gal_cache = {}
 
     # -- stage 1: F1/F2/F3 as an orbit-with-sign canonicalization -----
 
@@ -137,7 +137,8 @@ class CycloModule:
         self.sign_of_gen = sign.astype(np.int64)
 
     def _class_rows(self):
-        """Stack the enabled F4-F7 relation rows in canonical-class coordinates.
+        """The enabled F4-F7 relation rows in canonical-class coordinates,
+        written into one array; entries are not reduced mod p.
 
         Each family is imposed at its generators (all of them for F4-F6)
         wherever all of its slots are nonzero mod p^n, i.e. wherever every
@@ -148,20 +149,20 @@ class CycloModule:
                     if name in self.flags]
         if "F7" in self.flags:
             families += _f7_families(p, n, self.gens)
-        blocks = [np.zeros((0, self.n_classes), dtype=np.int64)]
+        imposed = []    # per family, (coeff, gen index) per term at its rows
         for terms, at in families:
             lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
             mask = np.logical_and.reduce([g >= 0 for g in lookups])
-            ridx = np.arange(int(mask.sum()))
-            rows = np.zeros((len(ridx), self.n_classes), dtype=np.int64)
-            for (coeff, _), g in zip(terms, lookups):
-                g = g[mask]
+            imposed.append([(coeff, g[mask]) for (coeff, _), g in zip(terms, lookups)])
+        counts = [len(terms[0][1]) for terms in imposed]
+        rows = np.zeros((sum(counts), self.n_classes), dtype=np.int64)
+        for terms, start, count in zip(imposed, np.cumsum([0] + counts), counts):
+            ridx = np.arange(start, start + count)
+            for coeff, g in terms:
                 cls = self.class_of_gen[g]
                 ok = cls >= 0
                 np.add.at(rows, (ridx[ok], cls[ok]), coeff * self.sign_of_gen[g[ok]])
-            rows %= p
-            blocks.append(rows)
-        return np.vstack(blocks)
+        return rows
 
     # -- stage 2: row-reduce in class coordinates ----------------------
 
@@ -191,11 +192,8 @@ class CycloModule:
         lam = int(lam) % self.pn
         if lam % self.p == 0:
             raise ValueError(f"lambda = {lam} is not a unit mod {self.pn}")
-        got = self._gal_cache.get(lam)
-        if got is None:
-            keys = image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))
-            got = self._gal_cache[lam] = self.reduce_matrix[self.gen_index[keys]].T
-        return got
+        keys = image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))
+        return self.reduce_matrix[self.gen_index[keys]].T
 
     def __repr__(self):
         return f"CycloModule(p={self.p}, n={self.n}, dim={self.dim})"
@@ -262,8 +260,9 @@ def e_manin(module):
 def verify_hecke_eigenvalue(module, qs=(2, 3)):
     """Check (e|T_q)(x,y) = (q + sigma_q) e(x,y) at every point with xy != 0.
 
-    The Hecke deviation is therefore supported at infinity, which is
-    recorded as a second check per q.
+    Each q gets a second entry, that the Hecke deviation is supported at
+    infinity.  It restates the first: vanishing off the axes is what
+    supported at infinity means, so both entries report the same result.
     """
     for q in qs:
         check_prime(q, name="Hecke index q")
@@ -281,8 +280,7 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
         ok = not diff[off_axis].any()
         rep.add(f"T_{q} eigenvalue q + sigma_q off the axes", ok,
                 f"checked {int(off_axis.sum())} points")
-        dtab = ManinTable(e.module, diff)
-        rep.add(f"T_{q} deviation supported at infinity", is_supported_at_infty(dtab))
+        rep.add(f"T_{q} deviation supported at infinity", ok)
     return rep
 
 

@@ -93,16 +93,14 @@ def _op_on_level(mat, lref, lpiv, p):
 class EisReport:
     """Dimension report for one (p, k, S) Eisenstein eigenspace computation."""
 
-    def __init__(self, p, k, primes, dim_total, dim_boundary, dim_parabolic,
+    def __init__(self, p, k, primes, dim_total, dim_boundary,
                  dim_plus_eisenstein, eigenvalues):
-        if dim_parabolic != dim_total - dim_boundary:
-            raise ValueError("the parabolic dimension must be total - boundary")
         self.p = p
         self.k = k
         self.primes = tuple(primes)
         self.dim_total = dim_total
         self.dim_boundary = dim_boundary
-        self.dim_parabolic = dim_parabolic
+        self.dim_parabolic = dim_total - dim_boundary
         self.dim_plus_eisenstein = dim_plus_eisenstein
         self.eigenvalues = eigenvalues
 
@@ -149,8 +147,8 @@ def eis_eigenspace(p, k, primes=(2,)):
     for q in primes:
         if q % p == 0:
             raise ValueError("Hecke primes must be away from p")
-    space, _, eigenvalues, (nl, nb, nq) = _eisenstein_space(p, k, primes)
-    return EisReport(p, k, primes, nl, nb, nq, space.shape[0], eigenvalues)
+    space, _, eigenvalues, (nl, nb, _) = _eisenstein_space(p, k, primes)
+    return EisReport(p, k, primes, nl, nb, space.shape[0], eigenvalues)
 
 
 def _quotient_op(mat, lref, lpiv, quot, free, p):

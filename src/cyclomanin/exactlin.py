@@ -57,6 +57,14 @@ def as_fp(a, p):
     return np.mod(a, p)
 
 
+def check_int64_sums(length, p):
+    """Raise ValueError when a sum of `length` products of residues mod p
+    could reach 2^62, past which int64 arithmetic is no longer safe."""
+    if length * (p - 1) ** 2 >= 2**62:
+        raise ValueError(f"p = {p} is too large for exact int64 sums of "
+                         f"{length} products")
+
+
 def matmul_mod(a, b, p):
     """Exact a @ b mod p.
 
@@ -70,9 +78,7 @@ def matmul_mod(a, b, p):
     if inner * (p - 1) ** 2 < _F64_EXACT:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
-    if inner * (p - 1) ** 2 >= 2**62:
-        raise ValueError(f"p = {p} is too large for exact int64 dot products "
-                         f"of length {inner}")
+    check_int64_sums(inner, p)
     return (a @ b) % p
 
 
@@ -104,27 +110,24 @@ def rref_mod(a, p):
     """Canonical RREF over F_p.  Returns (R, pivot_cols).
 
     R has one row per pivot; pivot columns carry a single 1.  Input rows
-    are folded in blockwise: each block is first reduced against the
-    pivots found so far (one exact matmul), then eliminated locally.
+    are folded in blockwise: each block is reduced mod p as it is read,
+    so the input need not be reduced and is never copied whole, then
+    reduced against the pivots found so far (one exact matmul) and
+    eliminated locally.
     """
-    a = as_fp(a, p)
-    nrows, ncols = a.shape
-    basis = np.zeros((0, ncols), dtype=np.int64)
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    basis = np.zeros((0, a.shape[1]), dtype=np.int64)
     pivots = []
-    for start in range(0, nrows, _RREF_BLOCK):
-        chunk = a[start:start + _RREF_BLOCK].copy()
-        if pivots:
-            coeff = chunk[:, pivots]
-            if coeff.any():
-                chunk = (chunk - matmul_mod(coeff, basis, p)) % p
-        chunk = chunk[chunk.any(axis=1)]
-        if chunk.size == 0:
-            continue
-        new_rows, new_pivots = _eliminate_dense(chunk, p)
+    for start in range(0, a.shape[0], _RREF_BLOCK):
+        chunk = a[start:start + _RREF_BLOCK] % p
+        coeff = chunk[:, pivots]
+        if coeff.any():
+            chunk = (chunk - matmul_mod(coeff, basis, p)) % p
+        new_rows, new_pivots = _eliminate_dense(chunk[chunk.any(axis=1)], p)
         if not new_pivots:
             continue
         coeff = basis[:, new_pivots]
-        if coeff.size and coeff.any():
+        if coeff.any():
             basis = (basis - matmul_mod(coeff, new_rows, p)) % p
         basis = np.vstack([basis, new_rows])
         pivots.extend(new_pivots)
@@ -148,19 +151,14 @@ def quotient_map(rref, pivots, ncols, p):
     return free, q
 
 
-def kernel_from_rref(rref, pivots, ncols, p):
+def kernel_mod(a, p):
     """Right-kernel basis rows, each scaled so its first nonzero entry is 1."""
-    basis = quotient_map(rref, pivots, ncols, p)[1].T
+    ncols = np.shape(a)[-1]
+    basis = quotient_map(*rref_mod(a, p), ncols, p)[1].T
     if not len(basis):
         return np.zeros((0, ncols), dtype=np.int64)
     lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
     return basis * np.array([inv_mod(v, p) for v in lead])[:, None] % p
-
-
-def kernel_mod(a, p):
-    a = as_fp(a, p)
-    rref, pivots = rref_mod(a, p)
-    return kernel_from_rref(rref, pivots, a.shape[1], p)
 
 
 def inv_mod_matrix(a, p):
@@ -193,7 +191,7 @@ def coords_in_rowspace(rref, pivots, v, p):
 def unit_group(m):
     """Units of Z/mZ in increasing order."""
     xs = np.arange(1, m)
-    return xs[np.frompyfunc(math.gcd, 2, 1)(xs, m).astype(np.int64) == 1]
+    return xs[np.gcd(xs, m) == 1]
 
 
 def primitive_root(p):
@@ -307,3 +305,14 @@ def is_irregular_pair(p, k):
     if k % (p - 1) == 0:
         return False
     return bernoulli_over_k_mod(k, p) == 0
+
+
+def irregular_weights(p):
+    """The even k with 2 <= k <= p - 3 and p | B_k/k, for a prime p >= 3.
+
+    One Bernoulli table up to p - 3 answers every k; is_irregular_pair
+    reruns the recursion from B_0 for each k it is asked about.
+    """
+    check_prime(p, least=3)
+    tab = _bernoulli_table_mod(p - 3, p)
+    return [k for k in range(2, p - 2, 2) if tab[k] == 0]

@@ -49,7 +49,7 @@ def _term_sum(e, terms):
         tgt = e.index[image_keys(e.points, e.pn, mat)]
         ok = tgt >= 0
         out[ok] += e.values[tgt[ok]]
-    return ManinTable(e.module, out % e.p, validated=e.validated)
+    return ManinTable(e.module, out % e.p)
 
 
 def hecke_apply(e, m):

@@ -11,8 +11,8 @@ rho on the cyclotomic symbol module, are both plain finite sums here.
 import numpy as np
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
-from .exactlin import (check_prime, check_weight, kernel_mod, matmul_mod,
-                       power_table)
+from .exactlin import (check_int64_sums, check_prime, check_weight, inv_mod,
+                       kernel_mod, matmul_mod, power_table)
 from .reports import CheckReport
 
 S = (0, -1, 1, 0)     # order-4 rotation
@@ -38,7 +38,10 @@ def poly_act_matrix(sigma, r, p):
 
     Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  The image
     of X^j Y^(r-j) under (X,Y) -> (X,Y)sigma' is (dX-cY)^j (-bX+aY)^(r-j).
+    Raises ValueError when p is too large for the int64 convolutions,
+    each a sum of at most r//2 + 1 products.
     """
+    check_int64_sums(r // 2 + 1, p)
     pa, pmb, pmc, pd = power_table([sigma[0], -sigma[1], -sigma[2], sigma[3]], r, p)
     cols = np.zeros((r + 1, r + 1), dtype=np.int64)
     bt = binom_table(r, p)
@@ -131,8 +134,7 @@ def perfect_pairing(f, g):
     bt = binom_table(r, p)
     i = np.arange(r + 1)
     signs = np.where(i % 2, p - 1, 1)
-    inv_binom = np.array([pow(int(bt[r, j]), p - 2, p) for j in range(r + 1)],
-                         dtype=np.int64)
+    inv_binom = np.array([inv_mod(bt[r, j], p) for j in range(r + 1)], dtype=np.int64)
     return int((f.coeffs * inv_binom * signs * g.coeffs[r - i]).sum() % p)
 
 

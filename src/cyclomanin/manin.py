@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import as_fp, kernel_mod, matmul_mod, unit_group
+from .exactlin import as_fp, inv_mod, kernel_mod, matmul_mod, unit_group
 
 
 @lru_cache(maxsize=None)
@@ -34,19 +34,6 @@ def enumerate_X(p, n):
     index = np.full(pn * pn, -1, dtype=np.int64)
     index[points[:, 0] * pn + points[:, 1]] = np.arange(len(points))
     return points, index
-
-
-def _egcd(a, b):
-    # returns (g, u, v) with u*a + v*b = g
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
 
 
 def section_gamma(pt, p, n):
@@ -66,13 +53,11 @@ def section_gamma(pt, p, n):
         d = pn
     while math.gcd(c, d) != 1:
         d += pn
-    _, u, v = _egcd(d, c)
-    a, b = u, -v
-    if c != 0:
-        t = a // c
-        a, b = a - t * c, b - t * d
+    if c == 0:      # only (c, d) = (0, 1) gets here
+        a, b = 1, 0
     else:
-        b -= (b // d) * d
+        a = inv_mod(d, c)
+        b = (a * d - 1) // c
     if a * d - b * c != 1:
         raise RuntimeError(f"section of {pt} has determinant {a * d - b * c}")
     return np.array([[a, b], [c, d]], dtype=np.int64)
@@ -161,9 +146,9 @@ def _perm(points, index, pn, mat):
 
 
 class ManinTable:
-    """Values of a map X_n -> M together with its validation state."""
+    """Values of a map X_n -> M."""
 
-    def __init__(self, module, values, validated=False):
+    def __init__(self, module, values):
         self.module = module
         self.p = module.p
         self.n = module.n
@@ -171,7 +156,6 @@ class ManinTable:
         self.points, self.index = enumerate_X(self.p, self.n)
         values = as_fp(values, self.p).reshape(len(self.points), module.dim)
         self.values = values
-        self.validated = validated
 
     def value(self, x, y):
         i = self.index[(int(x) % self.pn) * self.pn + (int(y) % self.pn)]
@@ -182,15 +166,13 @@ class ManinTable:
     def __add__(self, other):
         if self.module is not other.module:
             raise ValueError("tables over different coefficient modules")
-        return ManinTable(self.module, (self.values + other.values) % self.p,
-                          self.validated and other.validated)
+        return ManinTable(self.module, (self.values + other.values) % self.p)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return ManinTable(self.module, self.values * (int(c) % self.p) % self.p,
-                          self.validated)
+        return ManinTable(self.module, self.values * (int(c) % self.p) % self.p)
 
     def __eq__(self, other):
         return (self.module.p, self.module.n, self.module.dim) == \
@@ -228,14 +210,12 @@ class ManinTable:
         for name, bad in self.relation_checks().items():
             if bad is not None:
                 raise ValueError(f"{name} relation fails at {bad}")
-        self.validated = True
         return self
 
 
 def zero_table(module):
     points, _ = enumerate_X(module.p, module.n)
-    return ManinTable(module, np.zeros((len(points), module.dim), dtype=np.int64),
-                      validated=True)
+    return ManinTable(module, np.zeros((len(points), module.dim), dtype=np.int64))
 
 
 def is_supported_at_infty(e):

@@ -5,10 +5,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cyclomanin.exactlin import (bernoulli_mod, bernoulli_over_k_mod,
-                                 check_prime, coords_in_rowspace, inv_mod,
-                                 inv_mod_matrix, is_irregular_pair, is_prime,
-                                 kernel_mod, matmul_mod, omega_pow,
+from cyclomanin.exactlin import (_RREF_BLOCK, bernoulli_mod,
+                                 bernoulli_over_k_mod, check_prime,
+                                 coords_in_rowspace, inv_mod, inv_mod_matrix,
+                                 irregular_weights, is_irregular_pair,
+                                 is_prime, kernel_mod, matmul_mod, omega_pow,
                                  power_table, primitive_root, quotient_map,
                                  rref_mod, unit_group)
 
@@ -69,6 +70,25 @@ def test_coords_roundtrip(case, seed):
     v = matmul_mod(coeff, rref, p)
     got, ok = coords_in_rowspace(rref, piv, v, p)
     assert ok.all() and np.array_equal(got, coeff % p)
+
+
+def test_rref_reads_unreduced_blocks_without_copying():
+    # taller than two blocks, with pivots first appearing in later blocks
+    p = 7
+    rng = np.random.default_rng(11)
+    a = rng.integers(-3 * p, 3 * p, size=(2 * _RREF_BLOCK + 100, 12))
+    a[:_RREF_BLOCK, 10:] = 0
+    a[:2 * _RREF_BLOCK, 11] = 0
+    a[:, 4] = -a[:, 3]                # a dependent column keeps 4 free
+    a[:3] = p * rng.integers(-3, 3, size=(3, 12))   # zero mod p, not as integers
+    a[0, 0] = p
+    before = a.copy()
+    rref, piv = rref_mod(a, p)
+    want, want_piv = rref_mod(a % p, p)
+    assert np.array_equal(rref, want) and piv == want_piv
+    assert 10 in piv and 11 in piv and 4 not in piv
+    assert np.array_equal(kernel_mod(a, p), kernel_mod(a % p, p))
+    assert np.array_equal(a, before)
 
 
 def test_coords_rejects_outside_vectors():
@@ -205,6 +225,18 @@ def test_irregular_pairs_known_list():
             if is_irregular_pair(p, k):
                 found.add((p, k))
     assert found == classical
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 300) if is_prime(p)])
+def test_irregular_weights_match_per_k_lookups(p):
+    want = [k for k in range(2, p - 2, 2) if is_irregular_pair(p, k)]
+    assert irregular_weights(p) == want
+
+
+def test_irregular_weights_need_an_odd_prime():
+    for bad in (2, 9, 1):
+        with pytest.raises(ValueError):
+            irregular_weights(bad)
 
 
 def test_irregular_pair_false_at_pole():

@@ -108,7 +108,7 @@ def test_boundary_eigenvalue_l_plus_chi():
                 want_vals = (ell * tab.values
                              + matmul_mod(tab.values, module.act(ell).T, module.p)
                              ) % module.p
-                assert np.array_equal(got.values, want_vals), (module.label, ell)
+                assert np.array_equal(got.values, want_vals), (module.name, ell)
 
 
 def test_tp_vanishes_for_even_nontrivial_character():

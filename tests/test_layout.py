@@ -1,11 +1,13 @@
 """Source layout rules that no other test sees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "cyclomanin").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "cyclomanin").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -28,3 +30,22 @@ def test_no_bare_asserts(path):
     found = [f"{path.name}:{node.lineno}"
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements at {', '.join(found)}"
+
+
+def test_traced_names_exist():
+    # the traced benchmark patches every name in perfbench/tracing.py's
+    # SPANNED; a deleted one raises only in a traced run, so look them up
+    # here, reading the table with ast rather than importing perfbench
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    spanned = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "SPANNED" for t in node.targets))
+    missing = []
+    for mod, names in spanned.items():
+        for name in names:
+            obj = importlib.import_module(f"cyclomanin.{mod}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod}.{name}")
+    assert not missing, f"spanned names missing from cyclomanin: {', '.join(missing)}"

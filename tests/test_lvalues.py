@@ -43,6 +43,28 @@ def test_dual_action_is_a_right_action(s, t, rp):
     assert np.array_equal(lhs, rhs)
 
 
+def exact_poly_act(sigma, r, p):
+    """poly_act_matrix by expanding (dX - cY)^j (-bX + aY)^(r-j) in Python ints."""
+    a, b, c, d = sigma
+    cols = []
+    for j in range(r + 1):
+        poly = [1]       # poly[i] is the coefficient of X^i
+        for x_co, y_co in [(d, -c)] * j + [(-b, a)] * (r - j):
+            poly = [(poly[i - 1] * x_co if i else 0)
+                    + (poly[i] * y_co if i < len(poly) else 0)
+                    for i in range(len(poly) + 1)]
+        cols.append([v % p for v in poly])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_poly_action_is_exact_or_refused_at_large_p():
+    sigma, r = (3, 5, 7, 12), 10
+    p = 100000007
+    assert poly_act_matrix(sigma, r, p).tolist() == exact_poly_act(sigma, r, p)
+    with pytest.raises(ValueError, match="too large"):
+        poly_act_matrix(sigma, r, 2147483647)
+
+
 def test_weight_one_action_by_hand():
     # F = aX + bY, sigma = (1,1,0,1): (X,Y) -> (X, -X+Y) via the adjugate,
     # so F|sigma = aX + b(Y-X); coordinates are (Y-coeff, X-coeff)

@@ -33,6 +33,7 @@ def test_section_is_unimodular_and_lifts(p, n):
         (a, b), (c, d) = mat.tolist()
         assert a * d - b * c == 1
         assert (c - x) % pn == 0 and (d - y) % pn == 0
+        assert c <= 1 or 0 <= a < c      # the minimal non-negative completion
 
 
 def brute_relation_tables(module):
