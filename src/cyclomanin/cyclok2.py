@@ -25,11 +25,22 @@ Only these relations are imposed; the module is therefore a cover of
 the actual symbol subgroup, which is the safe direction for verifying
 identities proved from these relations alone.
 
-The quotient is built in two stages: F1+F2+F3 are an orbit/sign
-canonicalization (computed combinatorially), then the F4-F7 rows are
-written into one array in canonical-class coordinates and row-reduced.
-Tests check this against a monolithic row reduction of the full
-generator-level relation matrix.
+The quotient is built in two stages.  F1+F2+F3 are an orbit/sign
+canonicalization, computed combinatorially.  F4-F7 are then solved one
+character of the tame group mu_{p-1} at a time.  Every family is stable
+under (x,y) -> (lam x, lam y), and mu_{p-1}, generated by t = g^(p^(n-1))
+mod p^n for the primitive root g mod p, has order prime to p, so the
+annihilator W of the relation span splits into the components W_j on
+which t acts by g^j.  A vector of W_j is fixed by one value per t-orbit
+of classes, zero on orbits whose stabiliser sign differs from g^(jL) (L
+the orbit length), and it satisfies every relation once it satisfies
+those at the tame-normalised generators, x / p^v(x) = 1 mod p.  Each j
+is thus a small kernel, lifted back to class coordinates.  The quotient
+map is the unique echelon basis of W whose rows end in a 1 at the free
+classes, where all other rows vanish: one row reduction of W with its
+columns reversed gives exactly what a row reduction of the dense F4-F7
+matrix would.  Tests check this against that dense reduction and against
+a monolithic row reduction of the full generator-level relation matrix.
 """
 
 import os
@@ -38,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
-                       omega_pow, primitive_root, quotient_map, rref_mod)
+                       omega_pow, power_table, primitive_root, rref_mod)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -75,19 +86,33 @@ def _f7_families(p, n, gens):
             for k in range(1, n)]
 
 
-def _check_dense_size(p, n, flags):
-    # the F4-F7 matrix has about (p^n - 1)^2 / 8 class columns and a row per
-    # generator for each F4-F6 family; twice its size covers the peak, which
-    # adds rref_mod's working blocks and the term lookups to the matrix
+def _tame_normalised(x, p, n):
+    """Mask of the x, nonzero mod p^n, with x / p^v(x) = 1 mod p: one in
+    each orbit of the tame group."""
+    for _ in range(n - 1):
+        x = np.where(x % p == 0, x // p, x)
+    return x % p == 1
+
+
+def _check_build_size(p, n, flags):
+    # the generator grid and its F1-F3 canonicalization hold about 16 int64
+    # arrays of p^2n entries at their peak.  Each character's system then
+    # has a row per F4-F7 relation at a tame-normalised point, of which
+    # there are (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame
+    # orbit of the about (p^n - 1)^2 / 8 classes; three times its size
+    # covers its float and int64 copies and rref_mod's working blocks
     pn = p**n
-    rows = (pn - 1) ** 2 * len(flags & {"F4", "F5", "F6"})
-    rows += (p ** (n - 1) - 1) * (pn - 1) if "F7" in flags else 0
-    need = 2 * 8 * rows * ((pn - 1) ** 2 // 8)
+    grid = 16 * 8 * pn * pn
+    rows = (pn - 1) ** 2 // (p - 1) * len(flags & {"F4", "F5", "F6"})
+    rows += (p ** (n - 1) - 1) // (p - 1) * (pn - 1) if "F7" in flags else 0
+    orbits = (pn - 1) ** 2 // (4 * (p - 1))
+    need = grid + 3 * 8 * rows * orbits
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"p^n = {pn} is too large: the dense relation matrix and "
-                         f"its elimination need about {need / 2**30:,.1f} GiB, more "
-                         f"than the {have / 2**30:,.1f} GiB of physical memory")
+        raise ValueError(f"p^n = {pn} is too large: the generator grid and the "
+                         f"largest character's relation system need about "
+                         f"{need / 2**30:,.1f} GiB, more than the "
+                         f"{have / 2**30:,.1f} GiB of physical memory")
 
 
 class CycloModule:
@@ -97,6 +122,12 @@ class CycloModule:
     order; `reduce_matrix` maps generator index to quotient coordinates;
     `dim` is the quotient dimension; `basis_pairs` lists the generator
     pair representing each quotient basis vector.
+
+    The F4-F7 relations are never assembled into one matrix.  The build
+    solves one small kernel per character of the tame group mu_{p-1},
+    lifts the kernels to class coordinates, and reads `class_to_quot`,
+    the free classes and `dim` off the echelon form of their stack, the
+    annihilator of the relation span (see the module docstring).
     """
 
     def __init__(self, p, n=1, flags=None):
@@ -106,7 +137,7 @@ class CycloModule:
         flags = frozenset(flags if flags is not None else ALL_FLAGS)
         if not flags >= {"F1", "F2", "F3", "F4"}:
             raise ValueError("relation families F1-F4 are always required")
-        _check_dense_size(p, n, flags)
+        _check_build_size(p, n, flags)
         self.p, self.n, self.pn = p, n, p**n
         self.flags = flags
         pn = self.pn
@@ -136,40 +167,98 @@ class CycloModule:
         self.class_of_gen = np.where(rep >= 0, np.searchsorted(live, rep), -1)
         self.sign_of_gen = sign.astype(np.int64)
 
-    def _class_rows(self):
-        """The enabled F4-F7 relation rows in canonical-class coordinates,
-        written into one array; entries are not reduced mod p.
+    # -- stage 2: F4-F7, one kernel per tame character -----------------
 
-        Each family is imposed at its generators (all of them for F4-F6)
-        wherever all of its slots are nonzero mod p^n, i.e. wherever every
-        term's gen_index lookup is >= 0.
+    def _tame_orbits(self, g):
+        """The classes as orbits of t = teich(g), a signed permutation.
+
+        Returns (least, step, sign, length, stab), per class c: t^step[c]
+        maps c to sign[c] times least[c], the least class of its orbit,
+        and t^length[c] maps c back to stab[c] times itself, length the
+        orbit length.  t^((p-1)/2) = -1 fixes every class, so the walk
+        below closes every orbit.
+        """
+        p, n, pn = self.p, self.n, self.pn
+        t = pow(g, p ** (n - 1), pn)
+        img = self.gen_index[image_keys(self.class_reps, pn, (t, 0, 0, t))]
+        t_cls, t_sign = self.class_of_gen[img], self.sign_of_gen[img]
+        idx = np.arange(self.n_classes)
+        cur, sign = idx.copy(), np.ones_like(idx)
+        least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
+        length, stab = np.zeros_like(idx), sign.copy()
+        for e in range(1, (p - 1) // 2 + 1):
+            sign = sign * t_sign[cur]
+            cur = t_cls[cur]
+            lower = cur < least
+            least[lower], step[lower], least_sign[lower] = cur[lower], e, sign[lower]
+            home = (cur == idx) & (length == 0)
+            length[home], stab[home] = e, sign[home]
+        return least, step, least_sign, length, stab
+
+    def _annihilator(self):
+        """Basis rows, in class coordinates, of the annihilator of the F4-F7 span.
+
+        The rows come one character j of mu_{p-1} at a time.  A vector w of
+        the omega^j component is w[c] = sign[c] g^(-j step[c]) z[orbit of c],
+        with z zero on the orbits where g^(j length) differs from the
+        stabiliser sign.  Each relation at a tame-normalised generator is
+        one row over z.
         """
         p, pn, n = self.p, self.pn, self.n
+        g = primitive_root(p)
+        least, step, sign, length, stab = self._tame_orbits(g)
+        reps = np.flatnonzero(least == np.arange(self.n_classes))
+        orbit = np.searchsorted(reps, least)
+        back = -step % (p - 1)                            # c = sign t^back (least)
+        gpow = power_table(g, p - 2, p)                   # g^e for e < p - 1
         families = [(terms, self.gens) for name, terms in _RELATION_TERMS.items()
                     if name in self.flags]
         if "F7" in self.flags:
             families += _f7_families(p, n, self.gens)
-        imposed = []    # per family, (coeff, gen index) per term at its rows
+        rows, cols, coef, expo = [], [], [], []
+        nrows = 0
         for terms, at in families:
+            at = at[_tame_normalised(at[:, 0], p, n)]
             lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
-            mask = np.logical_and.reduce([g >= 0 for g in lookups])
-            imposed.append([(coeff, g[mask]) for (coeff, _), g in zip(terms, lookups)])
-        counts = [len(terms[0][1]) for terms in imposed]
-        rows = np.zeros((sum(counts), self.n_classes), dtype=np.int64)
-        for terms, start, count in zip(imposed, np.cumsum([0] + counts), counts):
-            ridx = np.arange(start, start + count)
-            for coeff, g in terms:
-                cls = self.class_of_gen[g]
+            mask = np.logical_and.reduce([gen >= 0 for gen in lookups])
+            ridx = np.arange(nrows, nrows + mask.sum())
+            nrows += len(ridx)
+            for (c, _), gen in zip(terms, lookups):
+                gen = gen[mask]
+                cls = self.class_of_gen[gen]
                 ok = cls >= 0
-                np.add.at(rows, (ridx[ok], cls[ok]), coeff * self.sign_of_gen[g[ok]])
-        return rows
-
-    # -- stage 2: row-reduce in class coordinates ----------------------
+                cls = cls[ok]
+                rows.append(ridx[ok])
+                cols.append(orbit[cls])
+                coef.append(c * self.sign_of_gen[gen[ok]] * sign[cls])
+                expo.append(back[cls])
+        rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
+        parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
+        for j in range(p - 1):
+            live = gpow[j * length[reps] % (p - 1)] == stab[reps] % p
+            if not live.any():
+                continue
+            width = int(live.sum())
+            col = np.cumsum(live) - 1
+            use = live[cols]
+            # the system holds exact small integers, which kernel_mod reduces
+            # mod p as it reads them; no reference to it outlives the call
+            ker = kernel_mod(np.bincount(
+                rows[use] * width + col[cols[use]],
+                weights=coef[use] * gpow[j * expo[use] % (p - 1)],
+                minlength=nrows * width).astype(np.int64).reshape(nrows, width), p)
+            z = np.zeros((len(ker), len(reps)), dtype=np.int64)
+            z[:, live] = ker
+            parts.append(z[:, orbit] * (sign * gpow[j * back % (p - 1)]) % p)
+        return np.concatenate(parts)
 
     def _reduce(self):
-        p = self.p
-        rref, pivots = rref_mod(self._class_rows(), p)
-        free, self.class_to_quot = quotient_map(rref, pivots, self.n_classes, p)
+        # class_to_quot.T is the echelon basis of the annihilator whose rows
+        # end in a 1 at the free classes: its rref with columns reversed
+        p, nc = self.p, self.n_classes
+        ech, pivots = rref_mod(self._annihilator()[:, ::-1], p)
+        free = nc - 1 - np.array(pivots[::-1], dtype=np.int64)
+        self.class_to_quot = np.ascontiguousarray(ech[::-1, ::-1].T)
         self.dim = len(free)
         self.basis_pairs = self.class_reps[free]
         # generator -> quotient coordinates (zero rows for killed classes)

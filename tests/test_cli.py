@@ -154,7 +154,7 @@ def test_usage_errors_exit_two(capsys):
                  ["lvalues", "--p", "5", "--k", "10"],
                  ["eis-dim", "--p", "2147483647", "--k", "12"],
                  ["eis-dim", "--p", "4294967291", "--k", "12"],
-                 ["verify-manin", "--p", "1009"],
+                 ["verify-manin", "--p", "100003"],
                  ["verify-manin", "--p", "37", "--n", "2"],
                  ["irregular-pairs", "--max-p", "2"],
                  ["no-such-command"],

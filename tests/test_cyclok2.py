@@ -1,24 +1,31 @@
-"""The presented symbol module against an independent reduction oracle.
+"""The presented symbol module against two independent reduction oracles.
 
-The oracle below rebuilds the generator-level relation matrix from
+The first oracle rebuilds the generator-level relation matrix from
 scratch (pure Python dictionaries, no shared code) and row-reduces it
 with its own elimination.  The package generates its T_2/T_3 rows from
 hecke.CLOSED_FORMS; the oracle types its own closed-form Hecke sums, so
 a transcription slip in either shows up as a dimension or zero-pattern
 mismatch.
+
+The second oracle is the dense build the package no longer runs: every
+F4-F7 row in canonical-class coordinates, one row reduction, and the
+quotient map read off it.  The package solves one kernel per tame
+character instead, and must reproduce this quotient exactly.
 """
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cyclomanin.cyclok2 import (ALL_FLAGS, _f7_families, build_cyclo_module,
-                                e_manin, e_table, eigen_projector,
-                                quotient_coeffs, rho_basis, symbol_class,
-                                verify_hecke_eigenvalue, xi_class)
-from cyclomanin.exactlin import is_irregular_pair, matmul_mod
-from cyclomanin.manin import is_supported_at_infty
+from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, _f7_families,
+                                build_cyclo_module, e_manin, e_table,
+                                eigen_projector, quotient_coeffs, rho_basis,
+                                symbol_class, verify_hecke_eigenvalue, xi_class)
+from cyclomanin.exactlin import (is_irregular_pair, matmul_mod, quotient_map,
+                                 rref_mod)
+from cyclomanin.manin import image_keys, is_supported_at_infty
 
 F14 = ("F1", "F2", "F3", "F4")
 
@@ -106,21 +113,73 @@ def test_reduction_matches_oracle_p37():
     assert package_zero_pattern(module) == is_zero
 
 
-# regular primes whose quotient keeps one extra line, on which sigma_a
-# acts by the quadratic character
-EXTRA_COMPONENTS = {73: 1, 97: 1}
+def dense_class_quotient(module):
+    """(free, class_to_quot) from one row reduction of all F4-F7 rows."""
+    p, pn = module.p, module.pn
+    families = [(terms, module.gens) for name, terms in _RELATION_TERMS.items()
+                if name in module.flags]
+    if "F7" in module.flags:
+        families += _f7_families(p, module.n, module.gens)
+    blocks = []
+    for terms, at in families:
+        lookups = [module.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
+        mask = np.logical_and.reduce([g >= 0 for g in lookups])
+        block = np.zeros((int(mask.sum()), module.n_classes), dtype=np.int64)
+        for (coeff, _), g in zip(terms, lookups):
+            g = g[mask]
+            cls = module.class_of_gen[g]
+            ok = cls >= 0
+            np.add.at(block, (np.flatnonzero(ok), cls[ok]),
+                      coeff * module.sign_of_gen[g[ok]])
+        blocks.append(block)
+    rref, pivots = rref_mod(np.vstack(blocks), p)
+    return quotient_map(rref, pivots, module.n_classes, p)
+
+
+DENSE_CASES = [(p, 1) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)] \
+    + [(5, 2), (7, 2)]
+EXTRA_FLAGS = [sub for r in range(4) for sub in combinations(("F5", "F6", "F7"), r)]
+
+
+@pytest.mark.parametrize("extra", EXTRA_FLAGS, ids="+".join)
+@pytest.mark.parametrize("p,n", DENSE_CASES)
+def test_character_build_matches_the_dense_reduction(p, n, extra):
+    module = build_cyclo_module(p, n, F14 + extra)
+    free, q = dense_class_quotient(module)
+    assert np.array_equal(module.class_to_quot, q)
+    assert np.array_equal(module.basis_pairs, module.class_reps[free])
+    assert module.dim == len(free)
+    rm = np.zeros((len(module.gens), len(free)), dtype=np.int64)
+    ok = module.class_of_gen >= 0
+    rm[ok] = q[module.class_of_gen[ok]] * module.sign_of_gen[ok, None] % p
+    assert np.array_equal(module.reduce_matrix, rm)
+
+
+# regular primes whose quotient keeps extra lines, with the even weights
+# k < p at which rho_basis finds them (sigma_a acts by a^(2-k)); at 73, 97,
+# 193 and 241 that is the quadratic character
+EXTRA_COMPONENTS = {73: (38,), 97: (50,), 139: (70,), 193: (98,), 211: (106, 132),
+                    241: (122,)}
 
 
 def test_dim_is_the_index_of_irregularity():
-    for p in (5, 7, 11, 13, 37, 59, 67, 73, 97, 101, 103):
+    for p in (5, 7, 11, 13, 37, 59, 67, 73, 97, 101, 103, 131, 139, 193, 211, 241):
         index = sum(1 for k in range(2, p - 2, 2) if is_irregular_pair(p, k))
-        assert build_cyclo_module(p).dim == index + EXTRA_COMPONENTS.get(p, 0), p
+        extra = len(EXTRA_COMPONENTS.get(p, ()))
+        assert build_cyclo_module(p).dim == index + extra, p
+
+
+@pytest.mark.parametrize("p", sorted(EXTRA_COMPONENTS))
+def test_extra_components_sit_at_their_weights(p):
+    module = build_cyclo_module(p)
+    found = [k for k in range(2, p, 2) for _ in range(len(rho_basis(module, k)))]
+    assert found == list(EXTRA_COMPONENTS[p])
 
 
 def test_survivors_carry_the_herbrand_characters():
     # each irregular (p,k) contributes one functional on which sigma_a
     # acts by a^(2-k); regular components carry nothing
-    for p, kirr in ((37, 32), (59, 44), (67, 58), (101, 68), (103, 24)):
+    for p, kirr in ((37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)):
         module = build_cyclo_module(p)
         for k in range(2, p - 2, 2):
             want = 1 if k == kirr else 0
