@@ -8,6 +8,8 @@ T_q-eigenvalue 1+q^(k-1) detects the Eisenstein congruences of irregular
 pairs.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exactlin import (bernoulli_over_k_mod, check_prime, check_weight,
@@ -30,8 +32,11 @@ def level1_space(k, p):
     return kernel_mod(stacked, p)
 
 
+@lru_cache(maxsize=8)
 def hecke_matrix_dual(m, r, p):
     """Matrix of T_m on V_r coordinates: v -> sum over H_m of v|delta^T.
+
+    Cached per (m, r, p), so the array is read-only.
 
     The coset family H_m is stated for the row-vector symbol action; the
     dual action here reads polynomials through the adjugate, which is the
@@ -39,9 +44,8 @@ def hecke_matrix_dual(m, r, p):
     dual_act_matrix over the transposes is exactly that conjugated family,
     the one that preserves the level-one relations.
     """
-    total = np.zeros((r + 1, r + 1), dtype=np.int64)
-    for a, b, c, d in merel_set(m):
-        total = (total + dual_act_matrix((a, c, b, d), r, p)) % p
+    total = sum(dual_act_matrix((a, c, b, d), r, p) for a, b, c, d in merel_set(m)) % p
+    total.flags.writeable = False
     return total
 
 
@@ -62,12 +66,15 @@ def boundary_space(k, p):
     return rref_mod(np.reshape(rows, (-1, k - 1)), p)[0]
 
 
+@lru_cache(maxsize=8)
 def _quotient_setup(k, p):
     """Shared scaffolding: level coords, boundary rows inside them, quotient map.
 
     Returns (level_rref, level_pivots, quot, free, dims).  For a level
     coordinate column vector xi, the parabolic-quotient coordinates are
     quot.T @ xi; `free` lists the level coordinates acting as the section.
+    Cached per (k, p), so eis_eigenspace and eis_eigenvector build it
+    once; the arrays are read-only and the pivots a tuple.
     """
     level = level1_space(k, p)
     lref, lpiv = rref_mod(level, p)
@@ -78,7 +85,9 @@ def _quotient_setup(k, p):
         raise RuntimeError("boundary space must lie in the level-one space")
     bref, bpiv = rref_mod(bcoords, p)
     free, quot = quotient_map(bref, bpiv, nl, p)
-    return lref, lpiv, quot, free, (nl, len(bpiv), len(free))
+    for arr in (lref, quot, free):
+        arr.flags.writeable = False
+    return lref, tuple(lpiv), quot, free, (nl, len(bpiv), len(free))
 
 
 def _op_on_level(mat, lref, lpiv, p):

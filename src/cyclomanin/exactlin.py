@@ -13,6 +13,7 @@ import numpy as np
 
 _F64_EXACT = 2**53
 _RREF_BLOCK = 1024     # input rows folded into the echelon basis per step
+_PANEL = 32            # columns the elimination loop runs on per panel
 
 
 def is_prime(n):
@@ -41,13 +42,19 @@ def inv_mod(x, p):
 def power_table(bases, n, p):
     """[b^0, b^1, ..., b^n] mod p for each b in bases, along a new last axis.
 
-    0^0 = 1.  A scalar base gives shape (n+1,).
+    0^0 = 1.  A scalar base gives shape (n+1,).  Built by doubling: the
+    known powers b^0..b^(e-1) times b^e give the next e, so the table
+    takes O(log n) numpy steps.
     """
     bases = np.asarray(bases, dtype=np.int64) % p
     out = np.empty(bases.shape + (n + 1,), dtype=np.int64)
     out[..., 0] = 1
-    for e in range(1, n + 1):
-        out[..., e] = out[..., e - 1] * bases % p
+    done = 1       # out[..., :done] holds b^0 .. b^(done-1); each step doubles it
+    while done <= n:
+        step = min(done, n + 1 - done)
+        top = out[..., done - 1] * bases % p
+        out[..., done:done + step] = out[..., :step] * top[..., None] % p
+        done += step
     return out
 
 
@@ -82,9 +89,11 @@ def matmul_mod(a, b, p):
     return (a @ b) % p
 
 
-def _eliminate_dense(rows, p):
-    # in-place rref of a modest block; returns (reduced rows, pivot cols)
+def _eliminate_columns(rows, p):
+    # in-place rref by a loop over the columns; returns (rank, pivot cols,
+    # order), where order[i] is the input index of the row now at i
     m, n = rows.shape
+    order = list(range(m))
     pivots = []
     r = 0
     for c in range(n):
@@ -96,6 +105,7 @@ def _eliminate_dense(rows, p):
         i = r + int(nz[0])
         if i != r:
             rows[[r, i]] = rows[[i, r]]
+            order[r], order[i] = order[i], order[r]
         rows[r] = rows[r] * inv_mod(rows[r, c], p) % p
         hit = np.nonzero(rows[:, c])[0]
         hit = hit[hit != r]
@@ -103,6 +113,67 @@ def _eliminate_dense(rows, p):
             rows[hit] = (rows[hit] - np.outer(rows[hit, c], rows[r])) % p
         pivots.append(c)
         r += 1
+    return r, pivots, order
+
+
+def _panel_width(n, p):
+    """Columns per panel of a block n wide; 0 means the column loop alone.
+
+    A block no wider than _PANEL is not split.  Otherwise a panel of w
+    columns costs the loop about m*w per column and each trailing update
+    about m*n, so w is near sqrt(n), at most _PANEL.  The update sums w
+    products of residues, so at large p w also stays below 2^62/(p-1)^2.
+    """
+    if n <= _PANEL:
+        return 0
+    return min(_PANEL, math.isqrt(n), (2**62 - 1) // (p - 1) ** 2)
+
+
+def _eliminate_dense(rows, p):
+    """In-place rref of a modest block; returns (reduced rows, pivot cols).
+
+    Panel elimination (Dumas-Giorgi-Pernet, "Dense linear algebra over
+    word-size prime fields", ACM TOMS 2008): the column loop runs only on
+    a panel of _panel_width columns of the rows that are not pivots yet.
+    The k pivot rows R it picks, with pivot columns pc, become
+    N = A[R, pc]^-1 A[R, :], and every other row x becomes x - x[pc] N,
+    one matmul_mod per panel.
+    """
+    m, n = rows.shape
+    width = _panel_width(n, p)
+    if not width:
+        r, pivots, _ = _eliminate_columns(rows, p)
+        return rows[:r], pivots
+    pivots = []
+    r = 0
+    for start in range(0, n, width):
+        if r == m:
+            break
+        k, found, order = _eliminate_columns(rows[r:, start:start + width].copy(), p)
+        if not k:
+            continue
+        pc = [start + c for c in found]
+        picked = [r + i for i in order[:k]]
+        # [A[R, pc] | I] reduces to [I | A[R, pc]^-1]
+        square = np.hstack([rows[np.ix_(picked, pc)], np.eye(k, dtype=np.int64)])
+        _eliminate_columns(square, p)
+        new_rows = matmul_mod(square[:, k:], rows[picked], p)
+        # the picked rows take places r..r+k-1; the rows there take theirs
+        block = range(r, r + k)
+        rows[sorted(set(picked) - set(block))] = rows[sorted(set(block) - set(picked))]
+        rows[r:r + k] = new_rows
+        # rows zero at pc are zero on the whole panel, and every row is
+        # zero left of it except the earlier pivot rows, where new_rows is
+        coef = rows[:, pc]
+        coef[r:r + k] = 0
+        hit = np.flatnonzero(coef.any(axis=1))
+        if hit.size:
+            tail = rows[hit, start:]
+            tail -= matmul_mod(coef[hit], new_rows[:, start:], p)
+            tail %= p
+            rows[hit, start:] = tail
+        pivots.extend(pc)
+        r += k
     return rows[:r], pivots
 
 

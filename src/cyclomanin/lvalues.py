@@ -8,7 +8,10 @@ an invariant functional, and the L-values attached to a functional
 rho on the cyclotomic symbol module, are both plain finite sums here.
 """
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
 from .exactlin import (check_int64_sums, check_prime, check_weight, inv_mod,
@@ -24,36 +27,73 @@ def adjugate(sigma):
     return (d, -b, -c, a)
 
 
+@lru_cache(maxsize=4)
 def binom_table(n, p):
-    """Pascal triangle mod p, shape (n+1, n+1); no factorials."""
+    """Pascal triangle mod p, shape (n+1, n+1); no factorials.
+
+    Cached per (n, p), so the array is read-only.
+    """
     c = np.zeros((n + 1, n + 1), dtype=np.int64)
     c[:, 0] = 1
     for i in range(1, n + 1):
         c[i, 1:i + 1] = (c[i - 1, :i] + c[i - 1, 1:i + 1]) % p
+    c.flags.writeable = False
     return c
 
 
-def poly_act_matrix(sigma, r, p):
-    """Matrix A with coeffs(F|sigma) = A @ coeffs(F).
+def _first_column(pow_a, pow_c, r, p):
+    # U[i, j] = C(j, i) a^i c^(j-i): column j is (aX + cY)^j Y^(r-j)
+    padded = np.concatenate([np.zeros(r, dtype=np.int64), pow_c])
+    out = binom_table(r, p).T * sliding_window_view(padded, r + 1)[::-1]
+    out %= p
+    out *= pow_a[:, None]
+    out %= p
+    return out
 
-    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  The image
-    of X^j Y^(r-j) under (X,Y) -> (X,Y)sigma' is (dX-cY)^j (-bX+aY)^(r-j).
-    Raises ValueError when p is too large for the int64 convolutions,
-    each a sum of at most r//2 + 1 products.
+
+def poly_act_matrix(sigma, r, p):
+    """Matrix A with coeffs(F|sigma) = A @ coeffs(F), for a prime p.
+
+    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  The image of
+    X^j Y^(r-j) is (alpha X + gamma Y)^j (beta X + delta Y)^(r-j), where
+    (alpha, beta, gamma, delta) = (d, -b, -c, a) is the adjugate.  With
+    alpha invertible, the substitution factors into the upper triangular
+    first-column map X^j Y^(r-j) -> (alpha X + gamma Y)^j Y^(r-j) times
+    the lower triangular shear X^j Y^(r-j) -> X^j (beta' X + delta' Y)^(r-j),
+    beta' = beta/alpha and delta' = delta - gamma beta/alpha; the shear
+    is the first-column map of (delta', beta') with X and Y exchanged.
+    When alpha = 0, exchanging X and Y on the source side (a column
+    reversal) brings beta to its place, and on the target side (a row
+    reversal) gamma; the zero matrix acts as F -> F(0, 0).
+
+    Accepts exactly the p at which r//2 + 1 products of residues sum
+    below 2^62, and raises ValueError at larger p.  The product's inner
+    sums have r + 1 terms, so where those could reach 2^62 they are
+    taken in two halves of at most r//2 + 1 terms, each reduced mod p.
     """
     check_int64_sums(r // 2 + 1, p)
-    pa, pmb, pmc, pd = power_table([sigma[0], -sigma[1], -sigma[2], sigma[3]], r, p)
-    cols = np.zeros((r + 1, r + 1), dtype=np.int64)
-    bt = binom_table(r, p)
-    for j in range(r + 1):
-        # (dX - cY)^j: coefficient of X^u Y^(j-u)
-        u = np.arange(j + 1)
-        first = bt[j, u] * pd[u] % p * pmc[j - u] % p
-        # (-bX + aY)^(r-j): coefficient of X^v Y^(r-j-v)
-        v = np.arange(r - j + 1)
-        second = bt[r - j, v] * pmb[v] % p * pa[r - j - v] % p
-        cols[:, j] = np.convolve(first, second) % p
-    return cols % p
+    a, b, c, d = sigma
+    alpha, beta, gamma, delta = d % p, -b % p, -c % p, a % p
+    swap_source = not alpha and (beta or not gamma)
+    if swap_source:
+        alpha, beta, gamma, delta = beta, alpha, delta, gamma
+    swap_target = not alpha
+    if swap_target:
+        alpha, beta, gamma, delta = gamma, delta, alpha, beta
+    if not alpha:
+        return np.full((r + 1, r + 1), int(r == 0), dtype=np.int64)
+    beta = beta * inv_mod(alpha, p) % p
+    delta = (delta - gamma * beta) % p
+    pa, pc, pd, pb = power_table([alpha, gamma, delta, beta], r, p)
+    first = _first_column(pa, pc, r, p)
+    shear = _first_column(pd, pb, r, p)[::-1, ::-1]
+    if (r + 1) * (p - 1) ** 2 < 2**62:
+        out = matmul_mod(first, shear, p)
+    else:
+        h = r // 2 + 1
+        out = (matmul_mod(first[:, :h], shear[:h], p)
+               + matmul_mod(first[:, h:], shear[h:], p)) % p
+    return out[::-1 if swap_target else 1, ::-1 if swap_source else 1]
 
 
 class PolyVec:
@@ -80,12 +120,12 @@ def dual_act_matrix(sigma, r, p):
     """Matrix B with coords(lam|sigma) = B @ coords(lam) in the lambda basis.
 
     (lam|sigma)(m) = lam(m|sigma'), so B is the lambda-basis transpose
-    of the W_r action of sigma'.
+    of the W_r action of sigma'.  The lambda basis reverses the monomials
+    and signs them by (-1)^i, which conjugates sigma' = adj(sigma) to the
+    transpose of sigma: B is the W_r matrix of sigma^T, transposed.
     """
-    amat = poly_act_matrix(adjugate(sigma), r, p)
-    i = np.arange(r + 1)
-    signs = np.where((i[:, None] + i[None, :]) % 2, p - 1, 1)
-    return signs * amat[np.ix_(r - i, r - i)].T % p
+    a, b, c, d = sigma
+    return poly_act_matrix((a, c, b, d), r, p).T
 
 
 class DualVec:

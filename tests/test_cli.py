@@ -165,6 +165,13 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_eis_dim_names_the_int64_bound(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["eis-dim", "--p", "2147483647", "--k", "12"])
+    assert err.value.code == 2
+    assert "too large for exact int64 sums of 6 products" in capsys.readouterr().err
+
+
 def test_report_without_checks_does_not_pass():
     rep = CheckReport("verify-hecke", {})
     assert not rep.all_pass

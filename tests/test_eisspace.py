@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cyclomanin.eisspace import (_op_on_level, boundary_space, conj_matrix,
-                                 eis_eigenspace, eis_eigenvector,
+from cyclomanin import eisspace
+from cyclomanin.eisspace import (_op_on_level, _quotient_setup, boundary_space,
+                                 conj_matrix, eis_eigenspace, eis_eigenvector,
                                  eisenstein_q_coeffs, hecke_matrix_dual,
                                  level1_space)
 from cyclomanin.exactlin import rref_mod
@@ -93,6 +94,35 @@ def test_small_hecke_sets_over_count_at_regular_pairs(p, k, primes, dim):
     # (59, 30) and (139, 70) are regular; a small S leaves a spurious line
     # that a larger S removes, so eis-dim with the default S = {2} fails there
     assert eis_eigenspace(p, k, primes).dim_plus_eisenstein == dim
+
+
+def test_level_one_lines_at_691():
+    # 691 is irregular at k = 12 and 200 only; at k = 346 = (p + 1)/2,
+    # S = (2, 3) leaves two lines, and T_5, T_7 remove them
+    rep = eis_eigenspace(691, 346, primes=(2, 3))
+    assert (rep.dim_total, rep.dim_boundary, rep.dim_plus_eisenstein) == (57, 1, 2)
+    space, _ = eis_eigenvector(691, 346, primes=(2, 3, 5, 7))
+    assert space.shape[0] == 0
+
+
+def test_level_one_setup_is_built_once_per_weight(monkeypatch):
+    calls = []
+
+    def counting(k, p):
+        calls.append((k, p))
+        return level1_space(k, p)
+
+    monkeypatch.setattr(eisspace, "level1_space", counting)
+    _quotient_setup.cache_clear()
+    eis_eigenspace(37, 32, primes=(2, 3))
+    eis_eigenvector(37, 32, primes=(2, 3, 5, 7))
+    eis_eigenspace(37, 32, primes=(2,))
+    assert calls == [(32, 37)]
+    lref, lpiv, quot, free, _ = _quotient_setup(32, 37)
+    assert isinstance(lpiv, tuple)
+    for arr in (lref, quot, free, hecke_matrix_dual(2, 30, 37)):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
 
 
 def test_regular_pair_has_no_eisenstein_classes():

@@ -1,12 +1,14 @@
 """Exact mod-p linear algebra against brute-force and rational oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cyclomanin.exactlin import (_RREF_BLOCK, bernoulli_mod,
-                                 bernoulli_over_k_mod, check_prime,
+from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _panel_width,
+                                 bernoulli_mod, bernoulli_over_k_mod, check_prime,
                                  coords_in_rowspace, inv_mod, inv_mod_matrix,
                                  irregular_weights, is_irregular_pair,
                                  is_prime, kernel_mod, matmul_mod, omega_pow,
@@ -100,12 +102,76 @@ def test_coords_rejects_outside_vectors():
 @pytest.mark.parametrize("p", (5, 7, 11, 37))
 def test_power_table_matches_pow(p):
     bases = np.array([[0, 1, -1], [2, p - 2, 3 * p + 5]])
-    tab = power_table(bases, 2 * p, p)
-    assert tab.shape == (2, 3, 2 * p + 1)
-    for idx in np.ndindex(bases.shape):
-        b = int(bases[idx])
-        assert tab[idx].tolist() == [pow(b, e, p) for e in range(2 * p + 1)]
-    assert power_table(3, 4, p).tolist() == [pow(3, e, p) for e in range(5)]
+    # n = 2^m - 1, 2^m and 2^m + 1 end the doubling on and next to its steps
+    for n in (0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 2 * p):
+        tab = power_table(bases, n, p)
+        assert tab.shape == (2, 3, n + 1)
+        for idx in np.ndindex(bases.shape):
+            b = int(bases[idx])
+            assert tab[idx].tolist() == [pow(b, e, p) for e in range(n + 1)]
+        for b in (0, 3):
+            assert power_table(b, n, p).tolist() == [pow(b, e, p) for e in range(n + 1)]
+
+
+def loop_rref(a, p):
+    """RREF by one elimination step per column: the oracle for rref_mod."""
+    rows = np.mod(a, p)
+    pivots = []
+    for c in range(rows.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(rows[r:, c])
+        if not nz.size:
+            continue
+        rows[[r, r + nz[0]]] = rows[[r + nz[0], r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), -1, p) % p
+        others = np.arange(len(rows)) != r
+        rows[others] = (rows[others] - np.outer(rows[others, c], rows[r])) % p
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def panel_matrix(layout, m, n, p, rng):
+    """An unreduced m x n matrix whose pivots fall only where `layout` says.
+
+    Columns outside `new` are combinations of new columns to their left.
+    """
+    width = _panel_width(n, p) or n
+    if layout == "zero":
+        new = []
+    elif layout == "random":
+        new = list(range(n))
+    elif layout == "empty-panel":      # nothing new in the second panel
+        new = [c for c in range(n) if not width <= c < 2 * width]
+    else:                               # "edges": either side of each panel edge
+        new = sorted({c for e in range(width, n, width) for c in (e - 1, e)} | {0})
+    new = np.array(new, dtype=np.int64)
+    mix = rng.integers(-2, 3, size=(len(new), n)) * (new[:, None] < np.arange(n))
+    mix[np.arange(len(new)), new] = 1
+    base = rng.integers(-p, p, size=(m, len(new))) * (rng.random((m, len(new))) < 0.5)
+    return base @ mix + p * rng.integers(-2, 3, size=(m, n))
+
+
+@pytest.mark.parametrize("p", (2, 7, 1000000007))
+@pytest.mark.parametrize("n", (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1))
+@pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges"))
+def test_rref_matches_the_column_loop(layout, n, p):
+    rng = np.random.default_rng(n + p)
+    for m in (n // 2, 3 * n):
+        a = panel_matrix(layout, m, n, p, rng)
+        before = a.copy()
+        rref, piv = rref_mod(a, p)
+        want, want_piv = loop_rref(a, p)
+        assert piv == want_piv
+        assert np.array_equal(rref, want)
+        assert np.array_equal(a, before)
+
+
+def test_panels_narrow_to_keep_the_update_exact():
+    assert _panel_width(_PANEL, 7) == 0
+    assert _panel_width(_PANEL + 1, 7) == math.isqrt(_PANEL + 1)
+    assert _panel_width(10**6, 7) == _PANEL
+    assert _panel_width(2 * _PANEL + 1, 1000000007) == 4   # 4 (p-1)^2 < 2^62
+    assert _panel_width(2 * _PANEL + 1, 3037000493) == 0   # (p-1)^2 >= 2^62
 
 
 def test_prime_check_matches_sympy():

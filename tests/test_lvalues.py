@@ -65,6 +65,28 @@ def test_poly_action_is_exact_or_refused_at_large_p():
         poly_act_matrix(sigma, r, 2147483647)
 
 
+def test_poly_action_is_exact_where_the_factored_sum_is_split():
+    # (r + 1)(p - 1)^2 >= 2^62 here, so the r + 1 term sums run in halves
+    # of r//2 + 1 terms, the length the accepted domain was set by
+    p, r = 1000000007, 4
+    for sigma in ((3, 5, 7, 12), (0, 1, -1, 0), (2, p - 1, 5, 0)):
+        assert poly_act_matrix(sigma, r, p).tolist() == exact_poly_act(sigma, r, p)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_poly_action_at_degenerate_matrices(p):
+    # the factorisation divides by alpha = d; these zero alpha, beta = -b,
+    # gamma = -c, several at once, all four, or only the determinant
+    sigmas = [(3, 5, 2, 0), (3, 5, 2, p), (3, 0, 2, 5), (3, 5, 0, 4),
+              (3, 0, 2, 0), (3, 5, 0, 0), (0, 5, 2, 0), (3, 0, 0, p),
+              (0, 0, 0, 0), (p, 0, 0, 2 * p), (2, 4, 1, 2), (p, 0, 0, 1)]
+    sigmas += [(1, j, 0, p) for j in range(p)]      # the terms of tp_fixed_point
+    for r in (0, 1, p - 1, p, 2 * p - 4):
+        for sigma in sigmas:
+            got = poly_act_matrix(sigma, r, p).tolist()
+            assert got == exact_poly_act(sigma, r, p), (sigma, r)
+
+
 def test_weight_one_action_by_hand():
     # F = aX + bY, sigma = (1,1,0,1): (X,Y) -> (X, -X+Y) via the adjugate,
     # so F|sigma = aX + b(Y-X); coordinates are (Y-coeff, X-coeff)
