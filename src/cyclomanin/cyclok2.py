@@ -161,7 +161,8 @@ class CycloModule:
         sign = np.where(same <= swap, 1, -1)
         rep[zero] = -1
         sign[zero] = 0
-        live = np.unique(rep[rep >= 0])
+        # the sorted distinct keys; np.unique would load numpy.ma
+        live = np.flatnonzero(np.bincount(rep[rep >= 0]))
         self.class_reps = np.stack([live // pn, live % pn], axis=1)
         self.n_classes = len(live)
         self.class_of_gen = np.where(rep >= 0, np.searchsorted(live, rep), -1)

@@ -324,18 +324,21 @@ class BernoulliValue:
 
 
 def _bernoulli_table_mod(k, p):
-    # B_0..B_k mod p by the cleared-denominator recursion; valid for k < p-1
+    # B_0..B_k mod p by the cleared-denominator recursion; valid for k < p-1.
+    # C(m+1, j) mod p is read from a Pascal row mod p, advanced one row per
+    # m, so every product stays a small Python int.
     if k >= p - 1:
         raise ValueError(f"the recursion needs k < p - 1, got k={k} at p={p}")
     tab = [0] * (k + 1)
     tab[0] = 1
     if k >= 1:
         tab[1] = (p - inv_mod(2, p)) % p
+    row = [1, 2, 1]        # C(2, j); row m + 1 at step m
     for m in range(2, k + 1):
-        if m % 2 == 1:
-            continue
-        s = sum(math.comb(m + 1, j) * tab[j] for j in range(m)) % p
-        tab[m] = (-s * inv_mod(m + 1, p)) % p
+        row = [1] + [(a + b) % p for a, b in zip(row, row[1:])] + [1]
+        if m % 2 == 0:
+            s = sum(c * b for c, b in zip(row, tab[:m])) % p
+            tab[m] = (-s * inv_mod(m + 1, p)) % p
     return tab
 
 
@@ -381,9 +384,34 @@ def is_irregular_pair(p, k):
 def irregular_weights(p):
     """The even k with 2 <= k <= p - 3 and p | B_k/k, for a prime p >= 3.
 
-    One Bernoulli table up to p - 3 answers every k; is_irregular_pair
-    reruns the recursion from B_0 for each k it is asked about.
+    Voronoi's congruence with c = g, the least primitive root mod p:
+
+        (g^k - 1) B_k/k = g^(k-1) sum_{x=1}^{p-1} floor(g x / p) x^(k-1)  (mod p).
+
+    g^k = 1 only when p - 1 divides k, which no k <= p - 3 does, so
+    p | B_k/k exactly when the sum is 0 mod p.  c = 2 would not do: at a
+    k with 2^k = 1 (mod p), such as k = 10 at p = 31, both sides vanish
+    whatever B_k is.  With w = floor(g x / p) fixed, each weight is one
+    dot product w @ x^(k-1), and the next power is one multiplication by
+    x^2, so the sweep takes O(p) memory and (p - 3)/2 numpy steps (see
+    Buhler-Crandall-Ernvall-Metsankyla, Math. Comp. 61, 1993).
+
+    The dot product sums p - 1 terms below g (p - 1) in int64; a p where
+    (g - 1)(p - 1)^2 could reach 2^62 raises ValueError before anything
+    is allocated.  is_irregular_pair answers one k by the recursion.
     """
     check_prime(p, least=3)
-    tab = _bernoulli_table_mod(p - 3, p)
-    return [k for k in range(2, p - 2, 2) if tab[k] == 0]
+    g = primitive_root(p)
+    if (g - 1) * (p - 1) ** 2 >= 2**62:
+        raise ValueError(f"p = {p} is too large for exact int64 Voronoi sums "
+                         f"with primitive root {g}")
+    x = np.arange(1, p, dtype=np.int64)
+    w = g * x // p
+    x2 = x * x % p
+    cur = x                # x^(k-1) at k = 2
+    weights = []
+    for k in range(2, p - 2, 2):
+        if int(w @ cur) % p == 0:
+            weights.append(k)
+        cur = cur * x2 % p
+    return weights

@@ -97,6 +97,17 @@ def test_irregular_pairs_sweep_and_csv(capsys, tmp_path):
                         ["101", "68"], ["103", "24"]]
 
 
+def test_irregular_pairs_sweep_to_1000(capsys):
+    code, rep = run_cli(capsys, "irregular-pairs", "--max-p", "1000")
+    assert code == 0
+    check = rep["checks"][0]
+    assert check["name"] == "swept 167 primes"
+    pairs = check["details"]["pairs"]
+    assert len(pairs) == 81
+    assert len({p for p, _ in pairs}) == 64
+    assert [691, 12] in pairs and [691, 200] in pairs
+
+
 def test_lvalues_table_and_csv(capsys, tmp_path):
     out = tmp_path / "lv.csv"
     code, rep = run_cli(capsys, "lvalues", "--p", "37", "--k", "32",

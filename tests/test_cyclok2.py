@@ -13,8 +13,12 @@ quotient map read off it.  The package solves one kernel per tame
 character instead, and must reproduce this quotient exactly.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +368,26 @@ def test_quotient_coeffs_exposes_the_galois_action():
     assert coeffs.dim == module.dim
     for a in (2, 3):
         assert np.array_equal(coeffs.act(a), module.galois_matrix(a))
+
+
+def test_module_builds_do_not_load_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on first use, about 1 MiB
+    # of module code no build needs; a fresh interpreter shows whether any
+    # step of a build and its checks pulls it in
+    script = (
+        "import sys\n"
+        "from cyclomanin.cyclok2 import build_cyclo_module, e_manin, "
+        "verify_hecke_eigenvalue\n"
+        "from cyclomanin.lvalues import lvalue_identity_report\n"
+        "module = build_cyclo_module(37)\n"
+        "e_manin(module)\n"
+        "verify_hecke_eigenvalue(module)\n"
+        "lvalue_identity_report(37, 32)\n"
+        "build_cyclo_module(5, 2)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -293,10 +293,31 @@ def test_irregular_pairs_known_list():
     assert found == classical
 
 
-@pytest.mark.parametrize("p", [p for p in range(3, 300) if is_prime(p)])
+@pytest.mark.parametrize("p", [p for p in range(3, 420) if is_prime(p)])
 def test_irregular_weights_match_per_k_lookups(p):
+    # Voronoi's congruence against the Bernoulli recursion, one k at a time
     want = [k for k in range(2, p - 2, 2) if is_irregular_pair(p, k)]
     assert irregular_weights(p) == want
+
+
+def test_irregular_weights_at_1009_and_2003():
+    # 1009 is regular, although M_{1009,1} keeps one extra line
+    assert irregular_weights(1009) == []
+    assert irregular_weights(2003) == [60, 600]
+    for k in (60, 600):
+        assert sympy.Rational(sympy.bernoulli(k), k).p % 2003 == 0
+
+
+def test_irregular_weights_refuse_inexact_sums_before_allocating(monkeypatch):
+    # the largest prime with p^2 < 2^63: check_prime accepts it, but the
+    # int64 dot product could pass 2^62; a missing guard would ask np.arange
+    # for a 24 GB array, so make any such call fail loudly instead
+    def no_arange(*args, **kwargs):
+        raise AssertionError("np.arange called before the int64 guard")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(ValueError, match="too large"):
+        irregular_weights(3037000493)
 
 
 def test_irregular_weights_need_an_odd_prime():
