@@ -35,7 +35,13 @@ which t acts by g^j.  A vector of W_j is fixed by one value per t-orbit
 of classes, zero on orbits whose stabiliser sign differs from g^(jL) (L
 the orbit length), and it satisfies every relation once it satisfies
 those at the tame-normalised generators, x / p^v(x) = 1 mod p.  Each j
-is thus a small kernel, lifted back to class coordinates.  The quotient
+is thus a small kernel, lifted back to class coordinates.  The kernels
+come from exactlin.system_kernels: a narrow system (at most 32 unknowns,
+every j at n = 1 and p <= 131) is compressed to w + 16 random
+combinations of its rows as it is built, the compressed systems of one
+width are eliminated together in one batched column loop, and each
+nonempty kernel is certified against its uncompressed system, so the
+kernels are exact; wider systems are eliminated one at a time.  The quotient
 map is the unique echelon basis of W whose rows end in a 1 at the free
 classes, where all other rows vanish: one row reduction of W with its
 columns reversed gives exactly what a row reduction of the dense F4-F7
@@ -48,8 +54,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
-                       omega_pow, power_table, primitive_root, rref_mod)
+from .exactlin import (_PANEL, _SLACK, _UPDATE_CELLS, as_fp, check_prime,
+                       inv_mod, kernel_mod, matmul_mod, omega_pow, power_table,
+                       primitive_root, rref_mod, system_kernels)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -100,13 +107,17 @@ def _check_build_size(p, n, flags):
     # has a row per F4-F7 relation at a tame-normalised point, of which
     # there are (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame
     # orbit of the about (p^n - 1)^2 / 8 classes; three times its size
-    # covers its float and int64 copies and rref_mod's working blocks
+    # covers its float and int64 copies and rref_mod's working blocks.  The
+    # compressed narrow systems add at most (_PANEL + _SLACK) x _PANEL
+    # entries per character, and their batched elimination two update
+    # slices of _UPDATE_CELLS entries
     pn = p**n
     grid = 16 * 8 * pn * pn
     rows = (pn - 1) ** 2 // (p - 1) * len(flags & {"F4", "F5", "F6"})
     rows += (p ** (n - 1) - 1) // (p - 1) * (pn - 1) if "F7" in flags else 0
     orbits = (pn - 1) ** 2 // (4 * (p - 1))
-    need = grid + 3 * 8 * rows * orbits
+    narrow = (p - 1) * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
+    need = grid + 3 * 8 * rows * orbits + 8 * narrow
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"p^n = {pn} is too large: the generator grid and the "
@@ -203,7 +214,8 @@ class CycloModule:
         the omega^j component is w[c] = sign[c] g^(-j step[c]) z[orbit of c],
         with z zero on the orbits where g^(j length) differs from the
         stabiliser sign.  Each relation at a tame-normalised generator is
-        one row over z.
+        one row over z.  system_kernels solves the systems over z of all j
+        together, building each from the relation triplets on demand.
         """
         p, pn, n = self.p, self.pn, self.n
         g = primitive_root(p)
@@ -234,22 +246,28 @@ class CycloModule:
                 coef.append(c * self.sign_of_gen[gen[ok]] * sign[cls])
                 expo.append(back[cls])
         rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
-        parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
-        for j in range(p - 1):
-            live = gpow[j * length[reps] % (p - 1)] == stab[reps] % p
-            if not live.any():
-                continue
-            width = int(live.sum())
-            col = np.cumsum(live) - 1
-            use = live[cols]
-            # the system holds exact small integers, which kernel_mod reduces
-            # mod p as it reads them; no reference to it outlives the call
-            ker = kernel_mod(np.bincount(
+        # live[j]: the orbits on which z may be nonzero at character j
+        live = gpow[np.outer(np.arange(p - 1), length[reps]) % (p - 1)] == stab[reps] % p
+
+        def system(j):
+            # exact small integers, which system_kernels reduces mod p
+            width = int(live[j].sum())
+            col = np.cumsum(live[j]) - 1
+            use = live[j][cols]
+            return np.bincount(
                 rows[use] * width + col[cols[use]],
                 weights=coef[use] * gpow[j * expo[use] % (p - 1)],
-                minlength=nrows * width).astype(np.int64).reshape(nrows, width), p)
+                minlength=nrows * width).astype(np.int64).reshape(nrows, width)
+
+        js = [j for j in range(p - 1) if live[j].any()]
+        kernels = system_kernels(system, js, p)
+        parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
+        for j in js:
+            ker = kernels[j]
+            if not len(ker):
+                continue
             z = np.zeros((len(ker), len(reps)), dtype=np.int64)
-            z[:, live] = ker
+            z[:, live[j]] = ker
             parts.append(z[:, orbit] * (sign * gpow[j * back % (p - 1)]) % p)
         return np.concatenate(parts)
 

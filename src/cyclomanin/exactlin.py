@@ -5,15 +5,28 @@ the modulus travels as an explicit argument.  Row reduction scales every
 pivot to 1 with modular inverses, so the output is the canonical reduced
 row echelon form of the row space and does not depend on the order the
 input rows were given in.
+
+Every elimination runs one column loop, `_eliminate_columns`, over a
+stack of matrices; a single matrix is a stack of one.  `system_kernels`
+solves many narrow tall systems with it at once: each is compressed as
+it is built to R A, R a fixed-seed random matrix with _SLACK more rows
+than A has columns, and the compressed blocks of one width are reduced
+as one stack.  The result is exact, not probabilistic: ker A lies in
+ker R A, so a compressed block of full column rank proves ker A = 0, and
+a nonempty kernel K of R A is kept only once A K^T = 0 is checked on A
+itself, which is otherwise solved by kernel_mod.
 """
 
 import math
+import random
 
 import numpy as np
 
 _F64_EXACT = 2**53
 _RREF_BLOCK = 1024     # input rows folded into the echelon basis per step
 _PANEL = 32            # columns the elimination loop runs on per panel
+_SLACK = 16            # rows a compressed system keeps beyond its width
+_UPDATE_CELLS = 2**15  # cells the column loop rewrites per slice of rows
 
 
 def is_prime(n):
@@ -89,31 +102,74 @@ def matmul_mod(a, b, p):
     return (a @ b) % p
 
 
-def _eliminate_columns(rows, p):
-    # in-place rref by a loop over the columns; returns (rank, pivot cols,
-    # order), where order[i] is the input index of the row now at i
-    m, n = rows.shape
-    order = list(range(m))
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
+def _eliminate_columns(stack, p):
+    """In-place rref of every member of a C-contiguous (B, m, n) stack.
+
+    One loop over the columns serves the whole stack.  Returns where, of
+    shape (B, n): where[b, c] is the row of member b that holds its pivot
+    in column c, or -1 if c is not a pivot column of b.  Rows stay at
+    their input places, so member b's rref is its rows where[b, c] over
+    its pivot columns c, in that order, and its other rows end up zero.
+    A step pivots, in one column, every member with a nonzero in a row
+    that is not a pivot row yet; it rewrites only the rows of those
+    members that are nonzero in that column.
+    """
+    nb, m, n = stack.shape
+    if not stack.flags.c_contiguous:
+        raise ValueError("the column loop needs a C-contiguous stack")
+    flat = stack.reshape(nb * m, n)          # a view: row b*m + i is row i of b
+    free = np.ones(nb * m, dtype=bool)       # rows that are no pivot row yet
+    where = np.empty((nb, n), dtype=np.int64)
+    where.fill(-1)
+    members = np.arange(nb)
+    step = max(1, _UPDATE_CELLS // max(n, 1))  # rows rewritten per update slice
+    left = nb * min(m, n)
+    for c in range(n if left else 0):
+        nz = flat[:, c] != 0
+        cand = nz & free
+        i = cand.reshape(nb, m).argmax(axis=1)
+        b, f = members, i
+        if nb == 1:
+            if not cand[i[0]]:
+                continue
+        else:
+            ok = cand[i + m * members]
+            if not ok.all():
+                if not ok.any():
+                    continue
+                b = ok.nonzero()[0]
+                i = i[b]
+                nz.reshape(nb, m)[~ok] = False
+            f = i + m * b
+        top = flat.take(f, axis=0)
+        if nb == 1:
+            top *= inv_mod(top[0, c], p)
+        else:
+            top *= np.array([[inv_mod(v, p)] for v in top[:, c].tolist()])
+        top %= p
+        flat[f] = top
+        free[f] = False
+        nz[f] = False
+        where[b, c] = i
+        if nb > 1:
+            lead = np.zeros((nb, n), dtype=np.int64)
+            lead[b] = top
+        hit = nz.nonzero()[0]
+        for start in range(0, hit.size, step):
+            at = hit[start:start + step]
+            rows = flat.take(at, axis=0)
+            if nb > 1:
+                top = lead.take(at // m, axis=0)
+                top *= rows[:, c, None]
+                rows -= top
+            else:
+                rows -= rows[:, c, None] * top
+            rows %= p
+            flat[at] = rows
+        left -= b.size
+        if not left:
             break
-        nz = np.nonzero(rows[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            rows[[r, i]] = rows[[i, r]]
-            order[r], order[i] = order[i], order[r]
-        rows[r] = rows[r] * inv_mod(rows[r, c], p) % p
-        hit = np.nonzero(rows[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            rows[hit] = (rows[hit] - np.outer(rows[hit, c], rows[r])) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots, order
+    return where
 
 
 def _panel_width(n, p):
@@ -142,22 +198,25 @@ def _eliminate_dense(rows, p):
     m, n = rows.shape
     width = _panel_width(n, p)
     if not width:
-        r, pivots, _ = _eliminate_columns(rows, p)
-        return rows[:r], pivots
+        where = _eliminate_columns(rows[None], p)[0]
+        pivots = (where >= 0).nonzero()[0]
+        return rows[where[pivots]], pivots.tolist()
     pivots = []
     r = 0
     for start in range(0, n, width):
         if r == m:
             break
-        k, found, order = _eliminate_columns(rows[r:, start:start + width].copy(), p)
+        where = _eliminate_columns(rows[None, r:, start:start + width].copy(), p)[0]
+        found = (where >= 0).nonzero()[0]
+        k = found.size
         if not k:
             continue
-        pc = [start + c for c in found]
-        picked = [r + i for i in order[:k]]
-        # [A[R, pc] | I] reduces to [I | A[R, pc]^-1]
+        pc = (start + found).tolist()
+        picked = (r + where[found]).tolist()
+        # [A[R, pc] | I] reduces to [I | A[R, pc]^-1], its row j pivoting at j
         square = np.hstack([rows[np.ix_(picked, pc)], np.eye(k, dtype=np.int64)])
-        _eliminate_columns(square, p)
-        new_rows = matmul_mod(square[:, k:], rows[picked], p)
+        inverse = square[_eliminate_columns(square[None], p)[0, :k], k:]
+        new_rows = matmul_mod(inverse, rows[picked], p)
         # the picked rows take places r..r+k-1; the rows there take theirs
         block = range(r, r + k)
         rows[sorted(set(picked) - set(block))] = rows[sorted(set(block) - set(picked))]
@@ -222,14 +281,78 @@ def quotient_map(rref, pivots, ncols, p):
     return free, q
 
 
-def kernel_mod(a, p):
-    """Right-kernel basis rows, each scaled so its first nonzero entry is 1."""
-    ncols = np.shape(a)[-1]
-    basis = quotient_map(*rref_mod(a, p), ncols, p)[1].T
+def _kernel_basis(rref, pivots, ncols, p):
+    # the kernel of a matrix with this rref, each row scaled so its first
+    # nonzero entry is 1: a function of the kernel alone
+    basis = quotient_map(rref, pivots, ncols, p)[1].T
     if not len(basis):
         return np.zeros((0, ncols), dtype=np.int64)
     lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
     return basis * np.array([inv_mod(v, p) for v in lead])[:, None] % p
+
+
+def kernel_mod(a, p):
+    """Right-kernel basis rows, each scaled so its first nonzero entry is 1."""
+    return _kernel_basis(*rref_mod(a, p), np.shape(a)[-1], p)
+
+
+def stack_kernels(stack, p):
+    """kernel_mod of each member of a C-contiguous (B, m, n) int64 stack
+    of residues mod p, by one column loop that reduces it in place."""
+    kernels = []
+    for rows, where in zip(stack, _eliminate_columns(stack, p)):
+        pivots = (where >= 0).nonzero()[0]
+        kernels.append(_kernel_basis(rows[where[pivots]], pivots, stack.shape[2], p))
+    return kernels
+
+
+def _compressor(m, w, p):
+    # a fixed-seed random (w + _SLACK) x m matrix over F_p; the stdlib
+    # generator, since numpy.random would load about 6 MiB of module code
+    rng = random.Random(m * (_PANEL + 1) + w)
+    draw = np.frombuffer(rng.randbytes(8 * (w + _SLACK) * m), dtype=np.uint64)
+    return (draw % np.uint64(p)).astype(np.int64).reshape(w + _SLACK, m)
+
+
+def system_kernels(build, keys, p):
+    """{key: kernel_mod(build(key), p)} for each key, narrow systems batched.
+
+    build(key) returns a system as an int64 matrix, which need not be
+    reduced mod p.  A system A no wider than _PANEL, with more than
+    w + _SLACK rows for its width w, is compressed as it is built to R A,
+    with R drawn once per shape by _compressor, and only R A is kept.  The
+    compressed blocks of one width are eliminated as one stack
+    (stack_kernels).  ker A lies in ker R A, so an empty kernel of R A is
+    that of A.  A nonempty one, K, is kept once A K^T = 0 holds on A built
+    again; otherwise the answer is kernel_mod(A).  Both give the one basis
+    kernel_mod returns, which depends on the kernel alone.  Any other
+    system, and any at a p where the m-term sums of R A could reach 2^62,
+    goes to kernel_mod as it is built.
+    """
+    out, groups, compressors = {}, {}, {}
+    for key in keys:
+        a = build(key)
+        m, w = a.shape
+        if w > _PANEL or m <= w + _SLACK or m * (p - 1) ** 2 >= 2**62:
+            out[key] = kernel_mod(a, p)
+        else:
+            if (m, w) not in compressors:
+                compressors[m, w] = _compressor(m, w, p)
+            if w not in groups:
+                # room for every key; pages no block is written to stay unmapped
+                groups[w] = [], np.empty((len(keys), w + _SLACK, w), dtype=np.int64)
+            done, stack = groups[w]
+            stack[len(done)] = matmul_mod(compressors[m, w], a % p, p)
+            done.append(key)
+        del a       # so that no two systems are alive at once
+    for done, stack in groups.values():
+        for key, ker in zip(done, stack_kernels(stack[:len(done)], p)):
+            if len(ker):
+                a = build(key) % p
+                if matmul_mod(a, ker.T, p).any():
+                    ker = kernel_mod(a, p)
+            out[key] = ker
+    return out
 
 
 def inv_mod_matrix(a, p):

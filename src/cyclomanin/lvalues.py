@@ -22,11 +22,6 @@ S = (0, -1, 1, 0)     # order-4 rotation
 T = (1, 1, 0, 1)      # upper unipotent generator of Gamma_infty
 
 
-def adjugate(sigma):
-    a, b, c, d = sigma
-    return (d, -b, -c, a)
-
-
 @lru_cache(maxsize=4)
 def binom_table(n, p):
     """Pascal triangle mod p, shape (n+1, n+1); no factorials.

@@ -23,12 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, _f7_families,
-                                build_cyclo_module, e_manin, e_table,
-                                eigen_projector, quotient_coeffs, rho_basis,
-                                symbol_class, verify_hecke_eigenvalue, xi_class)
-from cyclomanin.exactlin import (is_irregular_pair, matmul_mod, quotient_map,
-                                 rref_mod)
+from cyclomanin import cyclok2, exactlin
+from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, CycloModule,
+                                _f7_families, build_cyclo_module, e_manin,
+                                e_table, eigen_projector, quotient_coeffs,
+                                rho_basis, symbol_class,
+                                verify_hecke_eigenvalue, xi_class)
+from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
+                                 matmul_mod, quotient_map, rref_mod)
 from cyclomanin.manin import image_keys, is_supported_at_infty
 
 F14 = ("F1", "F2", "F3", "F4")
@@ -372,8 +374,9 @@ def test_quotient_coeffs_exposes_the_galois_action():
 
 def test_module_builds_do_not_load_numpy_ma():
     # np.unique and np.setdiff1d import numpy.ma on first use, about 1 MiB
-    # of module code no build needs; a fresh interpreter shows whether any
-    # step of a build and its checks pulls it in
+    # of module code no build needs, and numpy.random, which the build's
+    # compressors could have come from, about 6 MiB; a fresh interpreter
+    # shows whether any step of a build and its checks pulls either in
     script = (
         "import sys\n"
         "from cyclomanin.cyclok2 import build_cyclo_module, e_manin, "
@@ -384,10 +387,32 @@ def test_module_builds_do_not_load_numpy_ma():
         "verify_hecke_eigenvalue(module)\n"
         "lvalue_identity_report(37, 32)\n"
         "build_cyclo_module(5, 2)\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
+
+
+def per_character_kernels(build, keys, p):
+    return {key: kernel_mod(build(key), p) for key in keys}
+
+
+@pytest.mark.parametrize("p", [p for p in range(47, 132) if is_prime(p)])
+def test_compressed_build_matches_per_character_kernels(p, monkeypatch):
+    # every character system at these p is narrow and tall, so the build
+    # compresses all of them and, with its fixed seeds, never falls back to
+    # kernel_mod; the uncompressed kernels must give the same module
+    solved = []
+    monkeypatch.setattr(exactlin, "kernel_mod",
+                        lambda a, p: solved.append(a.shape) or kernel_mod(a, p))
+    module = CycloModule(p)
+    assert not solved
+    monkeypatch.undo()
+    monkeypatch.setattr(cyclok2, "system_kernels", per_character_kernels)
+    plain = CycloModule(p)
+    assert module.dim == plain.dim
+    for name in ("class_to_quot", "basis_pairs", "reduce_matrix"):
+        assert np.array_equal(getattr(module, name), getattr(plain, name)), name

@@ -1,19 +1,23 @@
 """Exact mod-p linear algebra against brute-force and rational oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _panel_width,
-                                 bernoulli_mod, bernoulli_over_k_mod, check_prime,
+from cyclomanin import exactlin
+from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_mod,
+                                 _panel_width, bernoulli_mod,
+                                 bernoulli_over_k_mod, check_prime,
                                  coords_in_rowspace, inv_mod, inv_mod_matrix,
                                  irregular_weights, is_irregular_pair,
                                  is_prime, kernel_mod, matmul_mod, omega_pow,
                                  power_table, primitive_root, quotient_map,
-                                 rref_mod, unit_group)
+                                 rref_mod, stack_kernels, system_kernels,
+                                 unit_group)
 
 
 @st.composite
@@ -91,6 +95,18 @@ def test_rref_reads_unreduced_blocks_without_copying():
     assert 10 in piv and 11 in piv and 4 not in piv
     assert np.array_equal(kernel_mod(a, p), kernel_mod(a % p, p))
     assert np.array_equal(a, before)
+
+
+def test_rref_and_kernel_of_empty_shapes():
+    # no columns, no rows, or neither: nothing to pivot, and the kernel is
+    # the whole space
+    for m, n in ((3, 0), (0, 3), (0, 0)):
+        rref, piv = rref_mod(np.zeros((m, n), dtype=np.int64), 7)
+        assert rref.shape == (0, n) and piv == []
+        assert np.array_equal(kernel_mod(np.zeros((m, n), dtype=np.int64), 7),
+                              np.eye(n, dtype=np.int64))
+    for ker in stack_kernels(np.zeros((2, 3, 0), dtype=np.int64), 7):
+        assert ker.shape == (0, 0)
 
 
 def test_coords_rejects_outside_vectors():
@@ -172,6 +188,93 @@ def test_panels_narrow_to_keep_the_update_exact():
     assert _panel_width(10**6, 7) == _PANEL
     assert _panel_width(2 * _PANEL + 1, 1000000007) == 4   # 4 (p-1)^2 < 2^62
     assert _panel_width(2 * _PANEL + 1, 3037000493) == 0   # (p-1)^2 >= 2^62
+
+
+def low_rank(rng, m, n, rank, p):
+    """An unreduced m x n matrix of rank at most `rank` mod p."""
+    return (rng.integers(-p, p, size=(m, rank)) @ rng.integers(0, p, size=(rank, n))
+            + p * rng.integers(-2, 3, size=(m, n)))
+
+
+@pytest.mark.parametrize("p", (2, 7, 1000000007))
+def test_stack_kernels_match_kernel_mod(p):
+    rng = np.random.default_rng(p % 1000)
+    dims = []
+    for m, n in ((1, 1), (5, 3), (3, 9), (40, _PANEL), (70, _PANEL + 5), (300, _PANEL)):
+        # members of every rank, so they pivot in different rows and columns;
+        # the last stack is tall enough for the update to take several slices
+        ranks = sorted({0, 1, min(m, n) // 2, min(m, n)})
+        stack = np.stack([low_rank(rng, m, n, r, p) for r in ranks * 2])
+        got = stack_kernels(stack % p, p)
+        for member, ker in zip(stack, got):
+            assert np.array_equal(ker, kernel_mod(member, p))
+            dims.append(len(ker))
+    assert 0 in dims and max(dims) > 1
+
+
+def narrow_systems(rng, p):
+    """Systems of every kind system_kernels sorts: tall and narrow ones,
+    which it compresses, some with nonempty kernels, and short or wide
+    ones, which it hands to kernel_mod."""
+    systems = []
+    for w in (1, 5, _PANEL):
+        for rank in (0, w // 2, w - 1, w):
+            systems.append(low_rank(rng, 3 * w + _SLACK + 1, w, rank, p))
+    systems.append(low_rank(rng, _SLACK + 3, 3, 2, p))        # not tall enough
+    systems.append(low_rank(rng, 200, _PANEL + 1, 20, p))     # too wide
+    return systems
+
+
+@pytest.mark.parametrize("p", (5, 101, 1000003, 1000000007))
+def test_system_kernels_match_kernel_mod(p):
+    systems = narrow_systems(np.random.default_rng(p), p)
+    built = Counter()
+
+    def build(key):
+        built[key] += 1
+        return systems[key]
+
+    got = system_kernels(build, range(len(systems)), p)
+    assert sorted(got) == list(range(len(systems)))
+    for key, a in enumerate(systems):
+        ker = kernel_mod(a, p)
+        assert np.array_equal(got[key], ker), key
+        # a compressed system is built again only to certify its kernel; at
+        # p = 1000000007 the sums of R A could pass 2^62, so none is compressed
+        narrow = (a.shape[1] <= _PANEL and len(a) > a.shape[1] + _SLACK
+                  and len(a) * (p - 1) ** 2 < 2**62)
+        assert built[key] == 1 + (narrow and len(ker) > 0), key
+    assert sum(len(k) > 0 for k in got.values()) >= 6
+
+
+def test_system_kernels_fall_back_past_a_rank_deficient_compressor(monkeypatch):
+    # R of rank 2 makes R A lose rank wherever A has rank above 2: the
+    # certificate A K^T = 0 must catch every such block and hand it to
+    # kernel_mod, and the full-rank blocks must not pass unchecked
+    p = 101
+    systems = narrow_systems(np.random.default_rng(7), p)
+    want = [kernel_mod(a, p) for a in systems]
+
+    def rank_two(m, w, p):
+        rows = np.random.default_rng(m * w).integers(0, p, size=(2, m))
+        return np.vstack([rows] * (w + _SLACK))[:w + _SLACK]
+
+    solved = []
+    spy = exactlin.kernel_mod
+
+    def counting(a, p):
+        solved.append(a.shape)
+        return spy(a, p)
+
+    monkeypatch.setattr(exactlin, "_compressor", rank_two)
+    monkeypatch.setattr(exactlin, "kernel_mod", counting)
+    got = system_kernels(systems.__getitem__, range(len(systems)), p)
+    for key, ker in enumerate(want):
+        assert np.array_equal(got[key], ker), key
+    tall = [a for a in systems if a.shape[1] <= _PANEL and len(a) > a.shape[1] + _SLACK]
+    refused = sum(1 for a in tall if a.shape[1] - len(kernel_mod(a, p)) > 2)
+    assert refused >= 5
+    assert len(solved) == refused + len(systems) - len(tall)
 
 
 def test_prime_check_matches_sympy():
@@ -295,9 +398,14 @@ def test_irregular_pairs_known_list():
 
 @pytest.mark.parametrize("p", [p for p in range(3, 420) if is_prime(p)])
 def test_irregular_weights_match_per_k_lookups(p):
-    # Voronoi's congruence against the Bernoulli recursion, one k at a time
-    want = [k for k in range(2, p - 2, 2) if is_irregular_pair(p, k)]
+    # Voronoi's congruence against the Bernoulli recursion: one table of
+    # B_0..B_(p-3) mod p, where p | B_k/k exactly when p | B_k (k < p)
+    table = _bernoulli_table_mod(p - 3, p)
+    want = [k for k in range(2, p - 2, 2) if table[k] == 0]
     assert irregular_weights(p) == want
+    # and the per-k lookup at the ends of the range and at every hit
+    for k in {2, p - 3, *want} & set(range(2, p - 2, 2)):
+        assert is_irregular_pair(p, k) == (k in want)
 
 
 def test_irregular_weights_at_1009_and_2003():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomanin.cyclok2 import build_cyclo_module, rho_basis, xi_class
-from cyclomanin.exactlin import coords_in_rowspace, rref_mod
-from cyclomanin.lvalues import (DualVec, PolyVec, S, T, adjugate,
+from cyclomanin.exactlin import coords_in_rowspace, matmul_mod, rref_mod
+from cyclomanin.lvalues import (DualVec, PolyVec, S, T,
                                 boundary_lambda, dual_act_matrix,
                                 gamma_infty_invariants, l_values_from_rho,
                                 lambda_basis_vec, lvalue_identity_report,
@@ -141,11 +141,25 @@ def test_perfect_pairing_needs_small_weight():
         perfect_pairing(f, f)
 
 
+def adjugate(sigma):
+    """(d, -b, -c, a), the oracle for the substitution poly_act_matrix makes."""
+    a, b, c, d = sigma
+    return (d, -b, -c, a)
+
+
 def test_adjugate_inverts_up_to_det():
-    for sigma in ((1, 2, 3, 4), (2, 0, 0, 2), (1, 1, 0, 1)):
+    # on W_r, sigma adj(sigma) = det(sigma) I acts by det(sigma)^r, so the
+    # two actions compose to that scalar whichever way the action reads
+    for sigma in ((1, 2, 3, 4), (2, 0, 0, 2), (1, 1, 0, 1), (0, -1, 1, 0),
+                  (0, 2, 3, 0), (3, 5, 6, 10), (0, 0, 0, 0), (-4, 7, 2, -9)):
         a, b, c, d = sigma
         det = a * d - b * c
         assert mat_mul(sigma, adjugate(sigma)) == (det, 0, 0, det)
+        for r, p in ((0, 5), (1, 7), (4, 7), (6, 13), (12, 13), (30, 101)):
+            got = matmul_mod(poly_act_matrix(adjugate(sigma), r, p),
+                             poly_act_matrix(sigma, r, p), p)
+            want = pow(det, r, p) * np.eye(r + 1, dtype=np.int64)
+            assert np.array_equal(got, want), (sigma, r, p)
 
 
 @pytest.mark.parametrize("r,p,dim", ((2, 5, 1), (4, 7, 1), (6, 5, 2),
