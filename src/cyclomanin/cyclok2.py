@@ -36,12 +36,13 @@ of classes, zero on orbits whose stabiliser sign differs from g^(jL) (L
 the orbit length), and it satisfies every relation once it satisfies
 those at the tame-normalised generators, x / p^v(x) = 1 mod p.  Each j
 is thus a small kernel, lifted back to class coordinates.  The kernels
-come from exactlin.system_kernels: a narrow system (at most 32 unknowns,
-every j at n = 1 and p <= 131) is compressed to w + 16 random
-combinations of its rows as it is built, the compressed systems of one
-width are eliminated together in one batched column loop, and each
-nonempty kernel is certified against its uncompressed system, so the
-kernels are exact; wider systems are eliminated one at a time.  The quotient
+come from exactlin.system_kernels, which takes each system as its
+(row, column, value) triplets.  A system with more rows than w + 16, w its
+unknowns (every one a build makes at p >= 11), is folded as it is built into a
+CountSketch of w + 16 rows; the narrow folds (w <= 32: every j at n = 1
+and p <= 131) are eliminated together in one batched column loop, the
+wider ones one at a time, and each nonempty kernel is certified against
+the triplets of its system, so the kernels are exact.  The quotient
 map is the unique echelon basis of W whose rows end in a 1 at the free
 classes, where all other rows vanish: one row reduction of W with its
 columns reversed gives exactly what a row reduction of the dense F4-F7
@@ -101,26 +102,35 @@ def _tame_normalised(x, p, n):
     return x % p == 1
 
 
-def _check_build_size(p, n, flags):
-    # the generator grid and its F1-F3 canonicalization hold about 16 int64
-    # arrays of p^2n entries at their peak.  Each character's system then
-    # has a row per F4-F7 relation at a tame-normalised point, of which
-    # there are (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame
-    # orbit of the about (p^n - 1)^2 / 8 classes; three times its size
-    # covers its float and int64 copies and rref_mod's working blocks.  The
-    # compressed narrow systems add at most (_PANEL + _SLACK) x _PANEL
-    # entries per character, and their batched elimination two update
-    # slices of _UPDATE_CELLS entries
+def _build_bytes(p, n, flags):
+    """About the peak bytes a build of M_{p,n} with these flags allocates.
+
+    The generator grid and its F1-F3 canonicalization hold about 16 int64
+    arrays of p^2n entries at their peak.  Each character's system has a
+    row per F4-F7 relation at a tame-normalised point, of which there are
+    (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit of the
+    about (p^n - 1)^2 / 8 classes.  It is folded to (w + _SLACK) x w
+    entries, and the elimination of a wide fold holds about 8 such blocks;
+    the narrow folds wait in stacks of at most (p - 1) x (_PANEL + _SLACK)
+    x _PANEL entries, and their batched elimination rewrites two update
+    slices of _UPDATE_CELLS entries.  A certificate that fails densifies its
+    system, which is counted once, whole.
+    """
     pn = p**n
-    grid = 16 * 8 * pn * pn
+    grid = 16 * pn * pn
     rows = (pn - 1) ** 2 // (p - 1) * len(flags & {"F4", "F5", "F6"})
     rows += (p ** (n - 1) - 1) // (p - 1) * (pn - 1) if "F7" in flags else 0
     orbits = (pn - 1) ** 2 // (4 * (p - 1))
+    folded = 8 * (orbits + _SLACK) * orbits
     narrow = (p - 1) * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
-    need = grid + 3 * 8 * rows * orbits + 8 * narrow
+    return 8 * (grid + rows * orbits + folded + narrow)
+
+
+def _check_build_size(p, n, flags):
+    need = _build_bytes(p, n, flags)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"p^n = {pn} is too large: the generator grid and the "
+        raise ValueError(f"p^n = {p**n} is too large: the generator grid and the "
                          f"largest character's relation system need about "
                          f"{need / 2**30:,.1f} GiB, more than the "
                          f"{have / 2**30:,.1f} GiB of physical memory")
@@ -215,7 +225,8 @@ class CycloModule:
         with z zero on the orbits where g^(j length) differs from the
         stabiliser sign.  Each relation at a tame-normalised generator is
         one row over z.  system_kernels solves the systems over z of all j
-        together, building each from the relation triplets on demand.
+        together, building each as triplets on demand: one per term of a
+        relation, at its row and the orbit of its class.
         """
         p, pn, n = self.p, self.pn, self.n
         g = primitive_root(p)
@@ -250,14 +261,11 @@ class CycloModule:
         live = gpow[np.outer(np.arange(p - 1), length[reps]) % (p - 1)] == stab[reps] % p
 
         def system(j):
-            # exact small integers, which system_kernels reduces mod p
-            width = int(live[j].sum())
+            # the triplets of the relations over the live orbits at j
             col = np.cumsum(live[j]) - 1
             use = live[j][cols]
-            return np.bincount(
-                rows[use] * width + col[cols[use]],
-                weights=coef[use] * gpow[j * expo[use] % (p - 1)],
-                minlength=nrows * width).astype(np.int64).reshape(nrows, width)
+            return (rows[use], col[cols[use]], coef[use] * gpow[j * expo[use] % (p - 1)],
+                    (nrows, int(live[j].sum())))
 
         js = [j for j in range(p - 1) if live[j].any()]
         kernels = system_kernels(system, js, p)

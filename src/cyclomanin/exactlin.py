@@ -8,13 +8,15 @@ input rows were given in.
 
 Every elimination runs one column loop, `_eliminate_columns`, over a
 stack of matrices; a single matrix is a stack of one.  `system_kernels`
-solves many narrow tall systems with it at once: each is compressed as
-it is built to R A, R a fixed-seed random matrix with _SLACK more rows
-than A has columns, and the compressed blocks of one width are reduced
-as one stack.  The result is exact, not probabilistic: ker A lies in
-ker R A, so a compressed block of full column rank proves ker A = 0, and
-a nonempty kernel K of R A is kept only once A K^T = 0 is checked on A
-itself, which is otherwise solved by kernel_mod.
+solves many tall sparse systems, each given by its (row, column, value)
+triplets.  Each is folded as it is built, by one np.bincount, into a
+CountSketch S A with _SLACK more rows than A has columns: every row of A
+goes, times a random multiplier, into one of those rows.  The folded
+blocks of one narrow width are reduced as one stack, wider ones one at a
+time.  The result is exact, not probabilistic: ker A lies in ker S A, so
+a folded block of full column rank proves ker A = 0, and a nonempty
+kernel K of S A is kept only once A K^T = 0 is checked on the triplets of
+A, which is otherwise solved by kernel_mod.
 """
 
 import math
@@ -306,52 +308,78 @@ def stack_kernels(stack, p):
     return kernels
 
 
-def _compressor(m, w, p):
-    # a fixed-seed random (w + _SLACK) x m matrix over F_p; the stdlib
-    # generator, since numpy.random would load about 6 MiB of module code
-    rng = random.Random(m * (_PANEL + 1) + w)
-    draw = np.frombuffer(rng.randbytes(8 * (w + _SLACK) * m), dtype=np.uint64)
-    return (draw % np.uint64(p)).astype(np.int64).reshape(w + _SLACK, m)
+def _sketch(m, w, p):
+    # the CountSketch of an m x w system: row r goes to bucket[r] in
+    # [0, w + _SLACK) times mult[r] in [1, p), drawn from the stdlib
+    # generator seeded by the shape, as numpy.random would load about 6 MiB
+    # of module code
+    draw = np.frombuffer(random.Random(m << 32 | w).randbytes(16 * m), dtype=np.int64)
+    return draw[:m] % (w + _SLACK), draw[m:] % (p - 1) + 1
+
+
+def _fold(rows, cols, vals, shape, p):
+    """The shape[0] x shape[1] matrix over F_p whose (r, c) entry is the sum
+    of the vals at rows r and cols c.
+
+    Each value is reduced below p and one np.bincount adds them up in
+    float64.  A cell sums at most len(vals) residues, so this is exact
+    while len(vals) (p - 1) < 2^53; past that it raises ValueError.
+    """
+    if len(vals) * (p - 1) >= _F64_EXACT:
+        raise ValueError(f"p = {p} is too large for exact float64 sums of "
+                         f"{len(vals)} residues")
+    nr, nc = shape
+    sums = np.bincount(rows * nc + cols, weights=vals % p, minlength=nr * nc)
+    return (sums.astype(np.int64) % p).reshape(nr, nc)
 
 
 def system_kernels(build, keys, p):
-    """{key: kernel_mod(build(key), p)} for each key, narrow systems batched.
+    """{key: kernel_mod(A, p)} for the system A = build(key) of each key.
 
-    build(key) returns a system as an int64 matrix, which need not be
-    reduced mod p.  A system A no wider than _PANEL, with more than
-    w + _SLACK rows for its width w, is compressed as it is built to R A,
-    with R drawn once per shape by _compressor, and only R A is kept.  The
-    compressed blocks of one width are eliminated as one stack
-    (stack_kernels).  ker A lies in ker R A, so an empty kernel of R A is
-    that of A.  A nonempty one, K, is kept once A K^T = 0 holds on A built
+    build(key) returns A in coordinate form, (rows, cols, vals, (m, w)):
+    its (r, c) entry is the sum of the vals, which need not be reduced mod
+    p, at row r and column c.  A system with more than w + _SLACK rows is
+    folded as it is built by a CountSketch S (Clarkson-Woodruff, STOC
+    2013), drawn once per shape by _sketch: row r of A is added, times
+    mult[r], to row bucket[r] of the (w + _SLACK) x w block S A, and only
+    that block is kept.  Folded blocks at most _PANEL wide are eliminated
+    as one stack per width (stack_kernels), wider ones by kernel_mod.
+    ker A lies in ker S A, so an empty kernel of S A is that of A.  A
+    nonempty one, K, is kept once A K^T = 0 holds on the triplets built
     again; otherwise the answer is kernel_mod(A).  Both give the one basis
-    kernel_mod returns, which depends on the kernel alone.  Any other
-    system, and any at a p where the m-term sums of R A could reach 2^62,
-    goes to kernel_mod as it is built.
+    kernel_mod returns, which depends on the kernel alone.  A system with
+    at most w + _SLACK rows goes to kernel_mod as it is.
     """
-    out, groups, compressors = {}, {}, {}
+    out, stacks, sketches, folded = {}, {}, {}, []
     for key in keys:
-        a = build(key)
-        m, w = a.shape
-        if w > _PANEL or m <= w + _SLACK or m * (p - 1) ** 2 >= 2**62:
-            out[key] = kernel_mod(a, p)
+        rows, cols, vals, (m, w) = build(key)
+        if m <= w + _SLACK:
+            out[key] = kernel_mod(_fold(rows, cols, vals, (m, w), p), p)
         else:
-            if (m, w) not in compressors:
-                compressors[m, w] = _compressor(m, w, p)
-            if w not in groups:
-                # room for every key; pages no block is written to stay unmapped
-                groups[w] = [], np.empty((len(keys), w + _SLACK, w), dtype=np.int64)
-            done, stack = groups[w]
-            stack[len(done)] = matmul_mod(compressors[m, w], a % p, p)
-            done.append(key)
-        del a       # so that no two systems are alive at once
-    for done, stack in groups.values():
-        for key, ker in zip(done, stack_kernels(stack[:len(done)], p)):
-            if len(ker):
-                a = build(key) % p
-                if matmul_mod(a, ker.T, p).any():
-                    ker = kernel_mod(a, p)
-            out[key] = ker
+            if (m, w) not in sketches:
+                sketches[m, w] = _sketch(m, w, p)
+            bucket, mult = sketches[m, w]
+            block = _fold(bucket[rows], cols, vals % p * mult[rows], (w + _SLACK, w), p)
+            folded.append(key)
+            if w > _PANEL:
+                out[key] = kernel_mod(block, p)
+            else:
+                if w not in stacks:
+                    # room for every key; pages no block is written to stay unmapped
+                    stacks[w] = [], np.empty((len(keys), w + _SLACK, w), dtype=np.int64)
+                done, stack = stacks[w]
+                stack[len(done)] = block
+                done.append(key)
+        del rows, cols, vals      # so that no two systems are alive at once
+    for done, stack in stacks.values():
+        out.update(zip(done, stack_kernels(stack[:len(done)], p)))
+    for key in folded:
+        if len(out[key]):
+            rows, cols, vals, (m, w) = build(key)
+            # A k for each k in K, as the one column of the triplets' fold
+            if any(_fold(rows, 0 * cols, vals % p * k[cols], (m, 1), p).any()
+                   for k in out[key]):
+                out[key] = kernel_mod(_fold(rows, cols, vals, (m, w), p), p)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from cyclomanin.cli import main, parse_flags
 from cyclomanin.reports import CheckReport
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -196,3 +198,26 @@ def test_parse_flags_forms():
     assert parse_flags("F1,F2,F3,F4,F6") == ("F1", "F2", "F3", "F4", "F6")
     with pytest.raises(ValueError):
         parse_flags("F8")
+
+
+def readme_commands():
+    """The commands of the README's command-line block, comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("cyclomanin ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, rep = run_cli(capsys, *argv[1:])
+        assert code == 0, argv
+        check_schema(rep)
+    for name in ("pairs.csv", "lv.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            assert len(list(csv.reader(fh))) > 1, name
+    written = sorted(p.name for p in (tmp_path / "fixtures").glob("*.json"))
+    assert written == sorted(p.name for p in FIXTURE_DIR.glob("*.json"))

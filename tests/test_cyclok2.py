@@ -16,6 +16,7 @@ character instead, and must reproduce this quotient exactly.
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -203,6 +204,19 @@ def test_module_validates_arguments():
     # refused from the size estimate, before the ~10 TB matrix is allocated
     with pytest.raises(ValueError, match="p\\^n = 1369 is too large"):
         build_cyclo_module(37, 2)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (11, 2), (37, 1), (131, 1), (211, 1)])
+def test_build_size_estimate_covers_the_measured_peak(p, n):
+    # the size guard refuses a build on this estimate, so it must not
+    # undercount; tracemalloc sees every numpy buffer the build allocates
+    tracemalloc.start()
+    try:
+        CycloModule(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cyclok2._build_bytes(p, n, frozenset(ALL_FLAGS)) >= peak
 
 
 def test_build_is_cached():
@@ -397,22 +411,37 @@ def test_module_builds_do_not_load_numpy_ma():
 
 
 def per_character_kernels(build, keys, p):
-    return {key: kernel_mod(build(key), p) for key in keys}
+    # each system densified from its triplets by np.add.at, shared with no
+    # code of the build, and solved as it is
+    kernels = {}
+    for key in keys:
+        rows, cols, vals, shape = build(key)
+        a = np.zeros(shape, dtype=np.int64)
+        np.add.at(a, (rows, cols), vals % p)
+        kernels[key] = kernel_mod(a, p)
+    return kernels
 
 
-@pytest.mark.parametrize("p", [p for p in range(47, 132) if is_prime(p)])
-def test_compressed_build_matches_per_character_kernels(p, monkeypatch):
-    # every character system at these p is narrow and tall, so the build
-    # compresses all of them and, with its fixed seeds, never falls back to
-    # kernel_mod; the uncompressed kernels must give the same module
+FOLDED_BUILDS = ([(p, 1) for p in range(47, 132) if is_prime(p)]
+                 + [(137, 1), (139, 1), (149, 1), (211, 1), (5, 2), (7, 2), (11, 2)])
+
+
+@pytest.mark.parametrize("p, n", FOLDED_BUILDS,
+                         ids=[f"{p}" if n == 1 else f"{p}-{n}" for p, n in FOLDED_BUILDS])
+def test_compressed_build_matches_per_character_kernels(p, n, monkeypatch):
+    # every character system of these builds is tall, narrow ones (n = 1,
+    # p <= 131) and wide ones alike, so the build folds all of them and,
+    # with its fixed sketches, never falls back: kernel_mod only sees the
+    # (w + 16) x w folds.  The unfolded kernels must give the same module
     solved = []
     monkeypatch.setattr(exactlin, "kernel_mod",
                         lambda a, p: solved.append(a.shape) or kernel_mod(a, p))
-    module = CycloModule(p)
-    assert not solved
+    module = CycloModule(p, n)
+    assert all(m == w + exactlin._SLACK for m, w in solved), solved
+    assert bool(solved) == (p > 131 or n > 1)
     monkeypatch.undo()
     monkeypatch.setattr(cyclok2, "system_kernels", per_character_kernels)
-    plain = CycloModule(p)
+    plain = CycloModule(p, n)
     assert module.dim == plain.dim
     for name in ("class_to_quot", "basis_pairs", "reduce_matrix"):
         assert np.array_equal(getattr(module, name), getattr(plain, name)), name

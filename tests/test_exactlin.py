@@ -212,17 +212,33 @@ def test_stack_kernels_match_kernel_mod(p):
     assert 0 in dims and max(dims) > 1
 
 
+def coordinate_form(a, seed=0):
+    """a as the triplets system_kernels takes: each nonzero entry split into
+    two values that sum to it, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    r, c = np.nonzero(a)
+    part = rng.integers(-3, 4, size=len(r))
+    rows, cols = np.concatenate([r, r]), np.concatenate([c, c])
+    vals = np.concatenate([part, a[r, c] - part])
+    order = rng.permutation(len(rows))
+    return rows[order], cols[order], vals[order], a.shape
+
+
 def narrow_systems(rng, p):
-    """Systems of every kind system_kernels sorts: tall and narrow ones,
-    which it compresses, some with nonempty kernels, and short or wide
-    ones, which it hands to kernel_mod."""
+    """Systems of every kind system_kernels sorts: tall ones, narrow and
+    wide, which it folds, some with nonempty kernels, and short ones, which
+    it hands to kernel_mod as they are."""
     systems = []
-    for w in (1, 5, _PANEL):
+    for w in (1, 5, _PANEL, _PANEL + 5):
         for rank in (0, w // 2, w - 1, w):
             systems.append(low_rank(rng, 3 * w + _SLACK + 1, w, rank, p))
     systems.append(low_rank(rng, _SLACK + 3, 3, 2, p))        # not tall enough
-    systems.append(low_rank(rng, 200, _PANEL + 1, 20, p))     # too wide
+    systems.append(low_rank(rng, _SLACK + 30, _PANEL + 20, 20, p))
     return systems
+
+
+def is_tall(a):
+    return len(a) > a.shape[1] + _SLACK
 
 
 @pytest.mark.parametrize("p", (5, 101, 1000003, 1000000007))
@@ -232,49 +248,59 @@ def test_system_kernels_match_kernel_mod(p):
 
     def build(key):
         built[key] += 1
-        return systems[key]
+        return coordinate_form(systems[key], key)
 
     got = system_kernels(build, range(len(systems)), p)
     assert sorted(got) == list(range(len(systems)))
     for key, a in enumerate(systems):
         ker = kernel_mod(a, p)
         assert np.array_equal(got[key], ker), key
-        # a compressed system is built again only to certify its kernel; at
-        # p = 1000000007 the sums of R A could pass 2^62, so none is compressed
-        narrow = (a.shape[1] <= _PANEL and len(a) > a.shape[1] + _SLACK
-                  and len(a) * (p - 1) ** 2 < 2**62)
-        assert built[key] == 1 + (narrow and len(ker) > 0), key
-    assert sum(len(k) > 0 for k in got.values()) >= 6
+        # a system is built again only to certify a nonempty kernel of its fold
+        assert built[key] == 1 + (is_tall(a) and len(ker) > 0), key
+    assert sum(len(k) > 0 for k in got.values()) >= 8
 
 
 def test_system_kernels_fall_back_past_a_rank_deficient_compressor(monkeypatch):
-    # R of rank 2 makes R A lose rank wherever A has rank above 2: the
-    # certificate A K^T = 0 must catch every such block and hand it to
-    # kernel_mod, and the full-rank blocks must not pass unchecked
+    # a sketch with every row in one of 2 buckets folds A to rank at most 2:
+    # the certificate A K^T = 0 must catch every system of rank above 2 and
+    # hand it to kernel_mod, and the full-rank ones must not pass unchecked
     p = 101
     systems = narrow_systems(np.random.default_rng(7), p)
     want = [kernel_mod(a, p) for a in systems]
-
-    def rank_two(m, w, p):
-        rows = np.random.default_rng(m * w).integers(0, p, size=(2, m))
-        return np.vstack([rows] * (w + _SLACK))[:w + _SLACK]
-
-    solved = []
+    draw = exactlin._sketch
     spy = exactlin.kernel_mod
+    solved = []
+
+    def two_buckets(m, w, p):
+        bucket, mult = draw(m, w, p)
+        return bucket % 2, mult
 
     def counting(a, p):
         solved.append(a.shape)
         return spy(a, p)
 
-    monkeypatch.setattr(exactlin, "_compressor", rank_two)
+    monkeypatch.setattr(exactlin, "_sketch", two_buckets)
     monkeypatch.setattr(exactlin, "kernel_mod", counting)
-    got = system_kernels(systems.__getitem__, range(len(systems)), p)
+    got = system_kernels(lambda key: coordinate_form(systems[key]), range(len(systems)), p)
     for key, ker in enumerate(want):
         assert np.array_equal(got[key], ker), key
-    tall = [a for a in systems if a.shape[1] <= _PANEL and len(a) > a.shape[1] + _SLACK]
-    refused = sum(1 for a in tall if a.shape[1] - len(kernel_mod(a, p)) > 2)
-    assert refused >= 5
-    assert len(solved) == refused + len(systems) - len(tall)
+    tall = [a for a in systems if is_tall(a)]
+    refused = [a.shape for a in tall if a.shape[1] - len(kernel_mod(a, p)) > 2]
+    assert len(refused) >= 7
+    short = [a.shape for a in systems if not is_tall(a)]
+    wide = [(w + _SLACK, w) for _, w in (a.shape for a in tall) if w > _PANEL]
+    assert Counter(solved) == Counter(refused + short + wide)
+
+
+def test_fold_sums_residues_exactly_or_refuses():
+    p = 3037000493
+    rows = np.zeros(1000, dtype=np.int64)
+    vals = np.full(1000, -1, dtype=np.int64)         # each p - 1 once reduced
+    assert exactlin._fold(rows, rows, vals, (2, 1), p).tolist() == [[p - 1000], [0]]
+    # pages of np.zeros are never touched: the guard refuses before summing
+    big = np.zeros(2**53 // (p - 1) + 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="float64 sums"):
+        exactlin._fold(big, big, big, (1, 1), p)
 
 
 def test_prime_check_matches_sympy():
