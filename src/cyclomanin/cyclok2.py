@@ -42,7 +42,8 @@ unknowns (every one a build makes at p >= 11), is folded as it is built into a
 CountSketch of w + 16 rows; the narrow folds (w <= 32: every j at n = 1
 and p <= 131) are eliminated together in one batched column loop, the
 wider ones one at a time, and each nonempty kernel is certified against
-the triplets of its system, so the kernels are exact.  The quotient
+the triplets of its system, so the kernels are exact.  The size guard
+takes the elimination's share from exactlin.system_kernels_bytes.  The quotient
 map is the unique echelon basis of W whose rows end in a 1 at the free
 classes, where all other rows vanish: one row reduction of W with its
 columns reversed gives exactly what a row reduction of the dense F4-F7
@@ -55,9 +56,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (_PANEL, _SLACK, _UPDATE_CELLS, as_fp, check_prime,
-                       inv_mod, kernel_mod, matmul_mod, omega_pow, power_table,
-                       primitive_root, rref_mod, system_kernels)
+from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
+                       omega_pow, power_table, primitive_root, rref_mod,
+                       system_kernels, system_kernels_bytes)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -109,21 +110,16 @@ def _build_bytes(p, n, flags):
     arrays of p^2n entries at their peak.  Each character's system has a
     row per F4-F7 relation at a tame-normalised point, of which there are
     (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit of the
-    about (p^n - 1)^2 / 8 classes.  It is folded to (w + _SLACK) x w
-    entries, and the elimination of a wide fold holds about 8 such blocks;
-    the narrow folds wait in stacks of at most (p - 1) x (_PANEL + _SLACK)
-    x _PANEL entries, and their batched elimination rewrites two update
-    slices of _UPDATE_CELLS entries.  A certificate that fails densifies its
-    system, which is counted once, whole.
+    about (p^n - 1)^2 / 8 classes.  A certificate that fails densifies its
+    system, which is counted once, whole.  The p - 1 systems' elimination
+    adds exactlin.system_kernels_bytes, its own memory model.
     """
     pn = p**n
     grid = 16 * pn * pn
     rows = (pn - 1) ** 2 // (p - 1) * len(flags & {"F4", "F5", "F6"})
     rows += (p ** (n - 1) - 1) // (p - 1) * (pn - 1) if "F7" in flags else 0
     orbits = (pn - 1) ** 2 // (4 * (p - 1))
-    folded = 8 * (orbits + _SLACK) * orbits
-    narrow = (p - 1) * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
-    return 8 * (grid + rows * orbits + folded + narrow)
+    return 8 * (grid + rows * orbits) + system_kernels_bytes(orbits, p - 1)
 
 
 def _check_build_size(p, n, flags):
@@ -288,10 +284,10 @@ class CycloModule:
         self.class_to_quot = np.ascontiguousarray(ech[::-1, ::-1].T)
         self.dim = len(free)
         self.basis_pairs = self.class_reps[free]
-        # generator -> quotient coordinates (zero rows for killed classes)
-        rm = np.zeros((len(self.gens), self.dim), dtype=np.int64)
-        ok = self.class_of_gen >= 0
-        rm[ok] = self.class_to_quot[self.class_of_gen[ok]] * self.sign_of_gen[ok, None] % p
+        # generator -> quotient coordinates; sign_of_gen is 0 on killed classes
+        rm = self.class_to_quot[np.maximum(self.class_of_gen, 0)]
+        rm *= self.sign_of_gen[:, None]
+        rm %= p
         self.reduce_matrix = rm
 
     # -- public API ----------------------------------------------------
@@ -379,6 +375,8 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     Each q gets a second entry, that the Hecke deviation is supported at
     infinity.  It restates the first: vanishing off the axes is what
     supported at infinity means, so both entries report the same result.
+    A failing first entry counts its failing points and names the first
+    in enumerate_X order.
     """
     for q in qs:
         check_prime(q, name="Hecke index q")
@@ -392,10 +390,14 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
         te = hecke_apply(e, q)
         chi_q = module.galois_matrix(q)
         expect = (q * e.values + matmul_mod(e.values, chi_q.T, module.p)) % module.p
-        diff = (te.values - expect) % module.p
-        ok = not diff[off_axis].any()
-        rep.add(f"T_{q} eigenvalue q + sigma_q off the axes", ok,
-                f"checked {int(off_axis.sum())} points")
+        bad = ((te.values - expect) % module.p).any(axis=1) & off_axis
+        ok = not bad.any()
+        checked = int(off_axis.sum())
+        details = f"checked {checked} points"
+        if not ok:
+            x, y = e.points[bad.argmax()].tolist()
+            details = f"fails at {int(bad.sum())} of {checked} points, first at ({x}, {y})"
+        rep.add(f"T_{q} eigenvalue q + sigma_q off the axes", ok, details)
         rep.add(f"T_{q} deviation supported at infinity", ok)
     return rep
 

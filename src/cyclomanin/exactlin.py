@@ -16,7 +16,9 @@ blocks of one narrow width are reduced as one stack, wider ones one at a
 time.  The result is exact, not probabilistic: ker A lies in ker S A, so
 a folded block of full column rank proves ker A = 0, and a nonempty
 kernel K of S A is kept only once A K^T = 0 is checked on the triplets of
-A, which is otherwise solved by kernel_mod.
+A, which is otherwise solved by kernel_mod; system_kernels_bytes models
+its memory.  int64_terms(p), the number of products of residues an int64
+sum can take, is the one place the int64 bound is written.
 """
 
 import math
@@ -79,10 +81,15 @@ def as_fp(a, p):
     return np.mod(a, p)
 
 
+def int64_terms(p):
+    """The most products of residues mod p that an int64 sum can take
+    while it stays below 2^62, past which int64 arithmetic is not safe."""
+    return (2**62 - 1) // (p - 1) ** 2
+
+
 def check_int64_sums(length, p):
-    """Raise ValueError when a sum of `length` products of residues mod p
-    could reach 2^62, past which int64 arithmetic is no longer safe."""
-    if length * (p - 1) ** 2 >= 2**62:
+    """Raise ValueError when `length` products mod p exceed int64_terms(p)."""
+    if length > int64_terms(p):
         raise ValueError(f"p = {p} is too large for exact int64 sums of "
                          f"{length} products")
 
@@ -180,11 +187,11 @@ def _panel_width(n, p):
     A block no wider than _PANEL is not split.  Otherwise a panel of w
     columns costs the loop about m*w per column and each trailing update
     about m*n, so w is near sqrt(n), at most _PANEL.  The update sums w
-    products of residues, so at large p w also stays below 2^62/(p-1)^2.
+    products of residues, so at large p w is also at most int64_terms(p).
     """
     if n <= _PANEL:
         return 0
-    return min(_PANEL, math.isqrt(n), (2**62 - 1) // (p - 1) ** 2)
+    return min(_PANEL, math.isqrt(n), int64_terms(p))
 
 
 def _eliminate_dense(rows, p):
@@ -383,6 +390,17 @@ def system_kernels(build, keys, p):
     return out
 
 
+def system_kernels_bytes(w, count):
+    """About the peak bytes system_kernels allocates beyond the triplets for
+    `count` systems of at most w unknowns: the elimination of a wide fold
+    holds about 8 blocks of (w + _SLACK) x w entries, the narrow folds wait
+    in stacks of at most count x (_PANEL + _SLACK) x _PANEL entries, and
+    their batched elimination rewrites two slices of _UPDATE_CELLS entries."""
+    folded = 8 * (w + _SLACK) * w
+    narrow = count * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
+    return 8 * (folded + narrow)
+
+
 def inv_mod_matrix(a, p):
     """Inverse of a square matrix over F_p; raises ValueError if singular."""
     d = a.shape[0]
@@ -395,18 +413,14 @@ def inv_mod_matrix(a, p):
 
 
 def coords_in_rowspace(rref, pivots, v, p):
-    """Coefficients expressing v over the rref rows, or None if outside.
+    """(coeff, ok) for the rows of v, a single vector being one row.
 
-    Works on a single vector or a stack of row vectors; for stacks the
-    return is (coeff_matrix, in_space_mask).
+    coeff[i] expresses row i over the rref rows, and ok[i] says whether
+    row i lies in their span at all.
     """
-    v = np.mod(np.asarray(v, dtype=np.int64), p)
-    single = v.ndim == 1
-    vv = np.atleast_2d(v)
-    coeff = vv[:, list(pivots)]
-    ok = ((vv - matmul_mod(coeff, rref, p)) % p == 0).all(axis=1)
-    if single:
-        return (coeff[0], bool(ok[0]))
+    v = as_fp(v, p)
+    coeff = v[:, list(pivots)]
+    ok = ((v - matmul_mod(coeff, rref, p)) % p == 0).all(axis=1)
     return coeff, ok
 
 
@@ -445,35 +459,6 @@ def omega_pow(a, j, p):
     return pow(a, j % (p - 1), p)
 
 
-class BernoulliValue:
-    """B_k reduced mod p, or the marker value at a pole of omega^k's L-factor.
-
-    `residue` is an int in [0, p) when defined and None when
-    k = 0 (mod p-1), where B_k is not p-integral.
-    """
-
-    __slots__ = ("k", "p", "residue")
-
-    def __init__(self, k, p, residue):
-        self.k = k
-        self.p = p
-        self.residue = residue
-
-    @property
-    def is_pole(self):
-        return self.residue is None
-
-    def __eq__(self, other):
-        return (self.k, self.p, self.residue) == (other.k, other.p, other.residue)
-
-    def __repr__(self):
-        val = "pole" if self.is_pole else self.residue
-        return f"BernoulliValue(k={self.k}, p={self.p}, {val})"
-
-    def to_json(self):
-        return "pole" if self.is_pole else int(self.residue)
-
-
 def _bernoulli_table_mod(k, p):
     # B_0..B_k mod p by the cleared-denominator recursion; valid for k < p-1.
     # C(m+1, j) mod p is read from a Pascal row mod p, advanced one row per
@@ -510,17 +495,6 @@ def bernoulli_over_k_mod(k, p):
     return tab[k0] * inv_mod(k0, p) % p
 
 
-def bernoulli_mod(k, p):
-    """B_k mod p as a BernoulliValue; the pole marker when (p-1) | k."""
-    if p <= 3:
-        raise ValueError("p must be a prime > 3")
-    if k < 2 or k % 2 == 1:
-        raise ValueError("k must be an even integer >= 2")
-    if k % (p - 1) == 0:
-        return BernoulliValue(k, p, None)
-    return BernoulliValue(k, p, k * bernoulli_over_k_mod(k, p) % p)
-
-
 def is_irregular_pair(p, k):
     """True when p divides the numerator of B_k/k (an irregular pair).
 
@@ -547,15 +521,14 @@ def irregular_weights(p):
     x^2, so the sweep takes O(p) memory and (p - 3)/2 numpy steps (see
     Buhler-Crandall-Ernvall-Metsankyla, Math. Comp. 61, 1993).
 
-    The dot product sums p - 1 terms below g (p - 1) in int64; a p where
-    (g - 1)(p - 1)^2 could reach 2^62 raises ValueError before anything
-    is allocated.  is_irregular_pair answers one k by the recursion.
+    The dot product sums p - 1 terms w x with w < g in int64, at most
+    what g - 1 products of residues sum to; a p where that could reach
+    2^62 raises ValueError before anything is allocated.
+    is_irregular_pair answers one k by the recursion.
     """
     check_prime(p, least=3)
     g = primitive_root(p)
-    if (g - 1) * (p - 1) ** 2 >= 2**62:
-        raise ValueError(f"p = {p} is too large for exact int64 Voronoi sums "
-                         f"with primitive root {g}")
+    check_int64_sums(g - 1, p)
     x = np.arange(1, p, dtype=np.int64)
     w = g * x // p
     x2 = x * x % p

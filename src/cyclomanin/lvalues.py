@@ -14,8 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
-from .exactlin import (check_int64_sums, check_prime, check_weight, inv_mod,
-                       kernel_mod, matmul_mod, power_table)
+from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
+                       inv_mod, kernel_mod, matmul_mod, power_table)
 from .reports import CheckReport
 
 S = (0, -1, 1, 0)     # order-4 rotation
@@ -82,7 +82,7 @@ def poly_act_matrix(sigma, r, p):
     pa, pc, pd, pb = power_table([alpha, gamma, delta, beta], r, p)
     first = _first_column(pa, pc, r, p)
     shear = _first_column(pd, pb, r, p)[::-1, ::-1]
-    if (r + 1) * (p - 1) ** 2 < 2**62:
+    if r + 1 <= int64_terms(p):
         out = matmul_mod(first, shear, p)
     else:
         h = r // 2 + 1

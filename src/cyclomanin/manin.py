@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import as_fp, inv_mod, kernel_mod, matmul_mod, unit_group
+from .exactlin import as_fp, kernel_mod, matmul_mod, unit_group
 
 
 @lru_cache(maxsize=None)
@@ -34,33 +34,6 @@ def enumerate_X(p, n):
     index = np.full(pn * pn, -1, dtype=np.int64)
     index[points[:, 0] * pn + points[:, 1]] = np.arange(len(points))
     return points, index
-
-
-def section_gamma(pt, p, n):
-    """A determinant-1 integer matrix gamma with (0,1)*gamma = pt mod p^n.
-
-    Deterministic: the bottom row is the smallest lift of pt made
-    coprime over Z (bumping a zero coordinate by p^n when needed), and
-    the top row is the minimal non-negative Bezout completion.
-    """
-    pn = p**n
-    c, d = int(pt[0]) % pn, int(pt[1]) % pn
-    if c % p == 0 and d % p == 0:
-        raise ValueError(f"({c},{d}) is not primitive mod {p}^{n}")
-    if c == 0 and d != 1:
-        c = pn
-    elif d == 0 and c != 1:
-        d = pn
-    while math.gcd(c, d) != 1:
-        d += pn
-    if c == 0:      # only (c, d) = (0, 1) gets here
-        a, b = 1, 0
-    else:
-        a = inv_mod(d, c)
-        b = (a * d - 1) // c
-    if a * d - b * c != 1:
-        raise RuntimeError(f"section of {pt} has determinant {a * d - b * c}")
-    return np.array([[a, b], [c, d]], dtype=np.int64)
 
 
 class CoeffModule:
@@ -211,11 +184,6 @@ class ManinTable:
             if bad is not None:
                 raise ValueError(f"{name} relation fails at {bad}")
         return self
-
-
-def zero_table(module):
-    points, _ = enumerate_X(module.p, module.n)
-    return ManinTable(module, np.zeros((len(points), module.dim), dtype=np.int64))
 
 
 def is_supported_at_infty(e):

@@ -5,9 +5,13 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclomanin.cli import main, parse_flags
+from cyclomanin.cyclok2 import build_cyclo_module, e_manin
+from cyclomanin.exactlin import matmul_mod
+from cyclomanin.hecke import hecke_apply
 from cyclomanin.reports import CheckReport
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,6 +67,22 @@ def test_verify_hecke_fails_without_the_hecke_families(capsys):
     code, rep = run_cli(capsys, "verify-hecke", "--p", "5", "--flags", "F1-F4")
     assert code == 1
     assert not all(c["pass"] for c in rep["checks"])
+
+
+def test_failing_verify_hecke_names_its_first_point(capsys):
+    p = 37
+    code, rep = run_cli(capsys, "verify-hecke", "--p", str(p), "--flags", "F1-F4")
+    assert code == 1
+    module = build_cyclo_module(p, 1, parse_flags("F1-F4"))
+    e = e_manin(module)
+    off_axis = e.points.prod(axis=1) % p != 0
+    for q, check in zip((2, 3), rep["checks"][::2]):
+        expect = (q * e.values + matmul_mod(e.values, module.galois_matrix(q).T, p)) % p
+        bad = ((hecke_apply(e, q).values - expect) % p).any(axis=1) & off_axis
+        assert bad.any() and check["name"] == f"T_{q} eigenvalue q + sigma_q off the axes"
+        x, y = e.points[bad.argmax()].tolist()     # the first in enumerate_X order
+        assert check["details"] == (f"fails at {int(bad.sum())} of {int(off_axis.sum())} "
+                                    f"points, first at ({x}, {y})")
 
 
 def test_verify_lvalues(capsys):

@@ -219,6 +219,42 @@ def test_build_size_estimate_covers_the_measured_peak(p, n):
     assert cyclok2._build_bytes(p, n, frozenset(ALL_FLAGS)) >= peak
 
 
+SEED_BUILD_BYTES = {
+    (5, 2): 904576, (7, 2): 2515072, (11, 2): 23971456, (13, 2): 61038976,
+    (5, 3): 157040736, (37, 1): 1164064, (131, 1): 4516480, (211, 1): 9291840,
+    (307, 1): 17353920, (1009, 1): 153643648, (37, 2): 27419757952,
+}
+
+
+def test_build_size_estimate_is_pinned():
+    # the guard's exit-2 decisions rest on these numbers; the elimination's
+    # share comes from exactlin.system_kernels_bytes and must not move them
+    got = {pn: cyclok2._build_bytes(*pn, frozenset(ALL_FLAGS)) for pn in SEED_BUILD_BYTES}
+    assert got == SEED_BUILD_BYTES
+
+
+def test_reduce_matrix_is_built_in_place(monkeypatch):
+    # generator -> quotient coordinates at a dim 2 build: beside the result
+    # and class_to_quot, the step may hold one len(gens) index array only
+    p = 211
+    module = CycloModule(p)
+    want = module.reduce_matrix.copy()
+    assert module.dim == 2
+    annihilator = module._annihilator()
+    echelon = rref_mod(annihilator[:, ::-1], p)
+    monkeypatch.setattr(module, "_annihilator", lambda: annihilator)
+    monkeypatch.setattr(cyclok2, "rref_mod", lambda a, q: echelon)
+    tracemalloc.start()
+    try:
+        module._reduce()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(module.reduce_matrix, want)
+    held = module.reduce_matrix.nbytes + module.class_to_quot.nbytes
+    assert peak <= held + 8 * len(module.gens) + 2**16
+
+
 def test_build_is_cached():
     assert build_cyclo_module(5) is build_cyclo_module(5)
     assert build_cyclo_module(5) is not build_cyclo_module(5, 1, F14)

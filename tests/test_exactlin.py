@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cyclomanin import exactlin
 from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_mod,
-                                 _panel_width, bernoulli_mod,
-                                 bernoulli_over_k_mod, check_prime,
-                                 coords_in_rowspace, inv_mod, inv_mod_matrix,
-                                 irregular_weights, is_irregular_pair,
+                                 _panel_width, bernoulli_over_k_mod,
+                                 check_int64_sums, check_prime,
+                                 coords_in_rowspace, int64_terms, inv_mod,
+                                 inv_mod_matrix, irregular_weights, is_irregular_pair,
                                  is_prime, kernel_mod, matmul_mod, omega_pow,
                                  power_table, primitive_root, quotient_map,
                                  rref_mod, stack_kernels, system_kernels,
@@ -110,9 +110,12 @@ def test_rref_and_kernel_of_empty_shapes():
 
 
 def test_coords_rejects_outside_vectors():
+    # a single vector is one row: the return is (coeff, mask) either way
     rref, piv = rref_mod(np.array([[1, 0, 2]], dtype=np.int64), 5)
-    _, ok = coords_in_rowspace(rref, piv, np.array([0, 1, 0]), 5)
-    assert not ok
+    coeff, ok = coords_in_rowspace(rref, piv, np.array([0, 1, 0]), 5)
+    assert coeff.shape == (1, 1) and ok.tolist() == [False]
+    coeff, ok = coords_in_rowspace(rref, piv, np.array([-2, 0, -4]), 5)
+    assert coeff.tolist() == [[3]] and ok.tolist() == [True]
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 37))
@@ -180,6 +183,15 @@ def test_rref_matches_the_column_loop(layout, n, p):
         assert piv == want_piv
         assert np.array_equal(rref, want)
         assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("p", (5, 1000000007, 3037000493))
+def test_int64_terms_is_the_exact_bound(p):
+    terms = int64_terms(p)
+    assert terms * (p - 1) ** 2 < 2**62 <= (terms + 1) * (p - 1) ** 2
+    check_int64_sums(terms, p)
+    with pytest.raises(ValueError, match=f"p = {p} is too large"):
+        check_int64_sums(terms + 1, p)
 
 
 def test_panels_narrow_to_keep_the_update_exact():
@@ -390,16 +402,6 @@ def test_bernoulli_over_k_matches_rationals(p):
         assert frac.q % p != 0
         want = frac.p % p * inv_mod(frac.q % p, p) % p
         assert bernoulli_over_k_mod(k, p) == want
-
-
-def test_bernoulli_mod_values_and_pole():
-    frac = sympy.Rational(sympy.bernoulli(4))            # -1/30
-    want = frac.p % 7 * inv_mod(frac.q % 7, 7) % 7
-    assert bernoulli_mod(4, 7).residue == want
-    b = bernoulli_mod(12, 7)       # (p-1) | 12
-    assert b.is_pole and b.to_json() == "pole"
-    b2 = bernoulli_mod(14, 7)      # 14 = 2 (mod 6)
-    assert not b2.is_pole and b2.to_json() == b2.residue
 
 
 def test_bernoulli_kummer_congruence():

@@ -178,7 +178,7 @@ def test_invariants_span_the_expected_lambdas():
         ref, piv = rref_mod(rows, p)
         for i in (r, p - 1):
             _, ok = coords_in_rowspace(ref, piv, lambda_basis_vec(r, i, p).coords, p)
-            assert ok
+            assert ok.all()
     with pytest.raises(ValueError):
         gamma_infty_invariants(10, 5)
 
