@@ -430,8 +430,9 @@ def unit_group(m):
     return xs[np.gcd(xs, m) == 1]
 
 
-def primitive_root(p):
-    """Smallest primitive root mod an odd prime p."""
+def primitive_root(p, n=1):
+    """A generator of (Z/p^n)^x for an odd prime p: the smallest primitive
+    root g mod p, or g + p when n >= 2 and g^(p-1) = 1 mod p^2."""
     fac = []
     q, t = p - 1, 2
     while t * t <= q:
@@ -444,7 +445,7 @@ def primitive_root(p):
         fac.append(q)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in fac):
-            return g
+            return g + p if n > 1 and pow(g, p - 1, p * p) == 1 else g
     raise ValueError(f"no primitive root mod {p}")
 
 

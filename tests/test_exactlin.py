@@ -376,6 +376,31 @@ def test_primitive_root_generates(p):
     assert sorted(pow(g, i, p) for i in range(p - 1)) == list(range(1, p))
 
 
+def _has_order(g, order, m):
+    return pow(g, order, m) == 1 and all(pow(g, order // q, m) != 1
+                                         for q in sympy.primefactors(order))
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 60) if is_prime(q)])
+def test_primitive_root_generates_the_units_mod_prime_powers(p):
+    for n in (1, 2, 3):
+        g = primitive_root(p, n)
+        assert _has_order(g, p ** (n - 1) * (p - 1), p ** n)
+
+
+def test_primitive_root_lifts_past_a_wieferich_root():
+    # 5 is the least primitive root mod 40487 and 5^40486 = 1 mod 40487^2,
+    # so 5 has order p - 1 mod p^2 and the generator there is 5 + p
+    p = 40487
+    assert primitive_root(p) == 5 and pow(5, p - 1, p * p) == 1
+    assert primitive_root(p, 2) == primitive_root(p, 3) == 5 + p
+    assert _has_order(5 + p, p * (p - 1), p * p)
+    assert not _has_order(5, p * (p - 1), p * p)
+    # no prime below 2000 needs the lift
+    assert all(primitive_root(q, 2) == primitive_root(q)
+               for q in filter(is_prime, range(3, 2000)))
+
+
 def test_omega_pow_is_a_character():
     p = 13
     for a in range(1, p):

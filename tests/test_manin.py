@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from cyclomanin import manin
+from cyclomanin.cyclok2 import build_cyclo_module, e_table
 from cyclomanin.exactlin import kernel_mod, rref_mod, unit_group
-from cyclomanin.manin import (ManinTable, enumerate_X, group_algebra_coeffs,
+from cyclomanin.manin import (CoeffModule, ManinTable, enumerate_X,
+                              group_algebra_coeffs, image_keys,
                               is_supported_at_infty, manin_relation_space,
                               power_character_coeffs,
                               symbols_supported_at_infty, table_from_flat,
@@ -115,3 +118,122 @@ def test_unit_diagonal_relation_uses_module_action():
     for lam in unit_group(7)[:3]:
         want = module.act(lam) @ tab.value(1, 3) % 7
         assert np.array_equal(tab.value(lam, 3 * lam), want)
+
+
+def scan_relation_checks(tab):
+    """Relations (1)-(3) checked the slow way: one pass over X_n per unit.
+
+    Each entry is None or the first failing point; for relation (1) that is
+    the first (x, y, lam) in the order of lam, then of enumerate_X.
+    """
+    p, pn, vals = tab.p, tab.pn, tab.values
+    points, index = enumerate_X(p, tab.n)
+
+    def moved(mat):
+        return vals[index[image_keys(points, pn, mat)]]
+
+    def first(rows, *extra):
+        miss = np.flatnonzero(rows.any(axis=1))
+        return tuple(map(int, points[miss[0]])) + extra if len(miss) else None
+
+    unit = None
+    for lam in unit_group(pn):
+        acted = (vals @ tab.module.act(lam).T) % p
+        unit = first((moved((lam, 0, 0, lam)) - acted) % p, int(lam))
+        if unit is not None:
+            break
+    return {"unit-diagonal": unit,
+            "two-term": first((vals + moved((0, 1, -1, 0))) % p),
+            "three-term": first((vals + moved((0, 1, -1, -1))
+                                 + moved((-1, -1, 1, 0))) % p)}
+
+
+def _kernel_tables(module):
+    return [table_from_flat(module, row)
+            for row in kernel_mod(manin_relation_space(module), module.p)]
+
+
+def _bumped(tab, at):
+    vals = tab.values.copy()
+    vals[at % len(vals)] += 1
+    return ManinTable(tab.module, vals)
+
+
+# Manin symbols over the trivial, a power-character and the group-algebra
+# module.  The relation space of the group algebra at (5,2) has 12,000
+# unknowns, so its symbols there are the ones supported at infinity.
+SYMBOL_SOURCES = {
+    "trivial-5-1": lambda: _kernel_tables(trivial_coeffs(5)),
+    "trivial-7-1": lambda: _kernel_tables(trivial_coeffs(7)),
+    "trivial-5-2": lambda: _kernel_tables(trivial_coeffs(5, 2)),
+    "omega2-5-1": lambda: _kernel_tables(power_character_coeffs(5, 1, 2)),
+    "omega4-7-1": lambda: _kernel_tables(power_character_coeffs(7, 1, 4)),
+    "omega2-5-2": lambda: _kernel_tables(power_character_coeffs(5, 2, 2)),
+    "group-5-1": lambda: _kernel_tables(group_algebra_coeffs(5)),
+    "group-7-1": lambda: _kernel_tables(group_algebra_coeffs(7)),
+    "group-5-2": lambda: symbols_supported_at_infty(group_algebra_coeffs(5, 2)),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SYMBOL_SOURCES))
+def test_relation_checks_match_the_unit_scan_on_symbols(source):
+    tables = SYMBOL_SOURCES[source]()
+    assert tables
+    for i, tab in enumerate(tables):
+        assert tab.relation_checks() == scan_relation_checks(tab)
+        assert all(v is None for v in tab.relation_checks().values())
+        for at in (0, 7 * i + 3, -1):
+            bumped = _bumped(tab, at)
+            got = bumped.relation_checks()
+            assert got == scan_relation_checks(bumped)
+            assert got["unit-diagonal"] is not None
+
+
+@pytest.mark.parametrize("p,n,extra", (
+    (7, 1, ()), (13, 1, ("F6",)), (37, 1, ("F5", "F7")),
+    (5, 2, ()), (5, 2, ("F5",)), (7, 2, ("F6",)),
+))
+def test_relation_checks_match_the_unit_scan_on_cyclo_tables(p, n, extra):
+    tab = e_table(build_cyclo_module(p, n, ("F1", "F2", "F3", "F4") + extra))
+    assert tab.relation_checks() == scan_relation_checks(tab)
+    for at in (0, 1, len(tab.values) // 2):
+        bumped = _bumped(tab, at)
+        assert bumped.relation_checks() == scan_relation_checks(bumped)
+
+
+@pytest.mark.parametrize("act", (
+    lambda lam: 2,                                   # act(1) != I
+    lambda lam: 1 if lam % 5 in (1, 4) else 2,       # act(1) = I, not a character
+    lambda lam: pow(lam, 2, 5) if lam != 3 else 1,   # omega^2 but at 3 = 2^3
+))
+@pytest.mark.parametrize("n", (1, 2))
+def test_relation_checks_when_the_action_is_not_multiplicative(act, n):
+    module = CoeffModule(5, n, 1, lambda lam: np.array([[act(lam)]]), "scalar")
+    npts = len(enumerate_X(5, n)[0])
+    zero = ManinTable(module, np.zeros((npts, 1), dtype=np.int64))
+    assert zero.relation_checks() == scan_relation_checks(zero)
+    assert all(v is None for v in zero.relation_checks().values())
+    rng = np.random.default_rng(n)
+    # an omega^2 symbol meets e(2x) = act(2) e(x), 2 generating the units
+    symbol = _kernel_tables(power_character_coeffs(5, n, 2))[0].values
+    for vals in (np.ones((npts, 1)), rng.integers(0, 5, (npts, 1)), symbol):
+        tab = ManinTable(module, vals)
+        got = tab.relation_checks()
+        assert got == scan_relation_checks(tab)
+        assert got["unit-diagonal"] is not None
+
+
+@pytest.mark.parametrize("p", (37, 211))
+def test_passing_table_gets_no_pass_per_unit(p, monkeypatch):
+    # every pass over X_n maps it through image_keys, so a count that does
+    # not grow with phi(p) means relation (1) was not scanned unit by unit
+    tab = e_table(build_cyclo_module(p))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return image_keys(*args)
+
+    monkeypatch.setattr(manin, "image_keys", counted)
+    assert all(v is None for v in tab.relation_checks().values())
+    assert len(calls) == 4
