@@ -29,18 +29,24 @@ EIS_FIXTURE_PAIRS = (
 LVALUE_FIXTURE_PAIRS = ((37, 32), (5, 4))
 
 
+FLAG_FORMS = "'all', a range such as F1-F4, or a comma list such as F1,F2,F3,F4,F6"
+
+
 def parse_flags(text):
     """Relation-family selector: 'all', a range 'F1-F4', or a comma list."""
     if text in (None, "", "all"):
         return ALL_FLAGS
     if "-" in text:
-        lo, hi = text.split("-")
-        picked = tuple(f"F{i}" for i in range(int(lo[1:]), int(hi[1:]) + 1))
+        try:
+            lo, hi = text.split("-")
+            picked = tuple(f"F{i}" for i in range(int(lo[1:]), int(hi[1:]) + 1))
+        except ValueError:
+            raise ValueError(f"--flags {text!r} is not {FLAG_FORMS}") from None
     else:
         picked = tuple(s.strip() for s in text.split(","))
     for f in picked:
         if f not in ALL_FLAGS:
-            raise ValueError(f"unknown relation family {f!r}")
+            raise ValueError(f"--flags: unknown relation family {f!r}; use {FLAG_FORMS}")
     return picked
 
 
@@ -68,7 +74,10 @@ def cmd_verify_lvalues(args):
 
 
 def cmd_eis_dim(args):
-    primes = tuple(int(s) for s in args.primes.split(","))
+    try:
+        primes = tuple(int(s) for s in args.primes.split(","))
+    except ValueError:
+        raise ValueError(f"--primes {args.primes!r} is not a comma list such as 2,3") from None
     rep = CheckReport("eis-dim",
                       {"p": args.p, "k": args.k, "primes": list(primes)})
     eis = eis_eigenspace(args.p, args.k, primes)

@@ -56,9 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (as_fp, check_prime, inv_mod, kernel_mod, matmul_mod,
-                       omega_pow, power_table, primitive_root, rref_mod,
-                       system_kernels, system_kernels_bytes)
+from .exactlin import (check_prime, kernel_mod, matmul_mod, omega_pow, power_table,
+                       primitive_root, rref_mod, system_kernels, system_kernels_bytes)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -138,7 +137,7 @@ class CycloModule:
     Attributes of note: `gens` lists the (x,y) generator pairs in lex
     order; `reduce_matrix` maps generator index to quotient coordinates;
     `dim` is the quotient dimension; `basis_pairs` lists the generator
-    pair representing each quotient basis vector.
+    pair representing each quotient basis vector.  The arrays are read-only.
 
     The F4-F7 relations are never assembled into one matrix.  The build
     solves one small kernel per character of the tame group mu_{p-1},
@@ -289,6 +288,11 @@ class CycloModule:
         rm *= self.sign_of_gen[:, None]
         rm %= p
         self.reduce_matrix = rm
+        # build_cyclo_module hands these out from its cache: a write through
+        # one would change every later answer
+        for arr in (rm, self.class_to_quot, self.basis_pairs, self.class_reps,
+                    self.gens, self.gen_index, self.class_of_gen, self.sign_of_gen):
+            arr.flags.writeable = False
 
     # -- public API ----------------------------------------------------
 
@@ -315,39 +319,6 @@ class CycloModule:
 def build_cyclo_module(p, n=1, flags=ALL_FLAGS):
     """Build (and cache) M_{p,n} with the given relation families enabled."""
     return CycloModule(p, n, flags)
-
-
-class SymbolClass:
-    """An element of a CycloModule quotient."""
-
-    def __init__(self, module, coords):
-        self.module = module
-        self.coords = as_fp(coords, module.p).reshape(module.dim)
-
-    def is_zero(self):
-        return not self.coords.any()
-
-    def __add__(self, other):
-        if self.module is not other.module:
-            raise ValueError("classes of different modules")
-        return SymbolClass(self.module, (self.coords + other.coords) % self.module.p)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymbolClass(self.module, (-self.coords) % self.module.p)
-
-    def __eq__(self, other):
-        return self.module is other.module and np.array_equal(self.coords, other.coords)
-
-    def __repr__(self):
-        return f"SymbolClass({self.coords.tolist()})"
-
-
-def symbol_class(module, x, y):
-    """The class of {1-z^x, 1-z^y}; zero when x = 0 or y = 0."""
-    return SymbolClass(module, module.gen_coords(x, y))
 
 
 def quotient_coeffs(module):
@@ -389,7 +360,8 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     for q in qs:
         te = hecke_apply(e, q)
         chi_q = module.galois_matrix(q)
-        expect = (q * e.values + matmul_mod(e.values, chi_q.T, module.p)) % module.p
+        # the wide product: BLAS runs the tall values @ chi_q.T about 5x slower
+        expect = (q * e.values + matmul_mod(chi_q, e.values.T, module.p).T) % module.p
         bad = ((te.values - expect) % module.p).any(axis=1) & off_axis
         ok = not bad.any()
         checked = int(off_axis.sum())
@@ -402,19 +374,9 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     return rep
 
 
-def eigen_projector(module, j):
-    """Idempotent projecting to the omega^(1-j) eigencomponent (n = 1 only)."""
-    if module.n != 1:
-        raise ValueError("eigen projectors need n = 1")
-    p = module.p
-    acc = np.zeros((module.dim, module.dim), dtype=np.int64)
-    for a in range(1, p):
-        acc = (acc + omega_pow(a, j - 1, p) * module.galois_matrix(a)) % p
-    return acc * inv_mod(p - 1, p) % p
-
-
 def xi_class(module, i, k):
-    """xi_i = sum over unit pairs of a^{k-i-1} b^{i-1} {1-z^a, 1-z^b} (n = 1)."""
+    """Quotient coordinates of xi_i = sum over unit pairs of
+    a^{k-i-1} b^{i-1} {1-z^a, 1-z^b} (n = 1)."""
     if module.n != 1:
         raise ValueError("xi classes are defined at n = 1")
     p = module.p
@@ -423,8 +385,7 @@ def xi_class(module, i, k):
     wb = np.array([omega_pow(v, i - 1, p) for v in a])
     # generator grid is exactly (a,b) for units a,b at n=1, lex order
     coeff = np.outer(wa, wb).ravel() % p
-    coords = matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
-    return SymbolClass(module, coords)
+    return matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
 
 
 def rho_basis(module, k):

@@ -12,9 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (bernoulli_over_k_mod, check_prime, check_weight,
-                       coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
-                       quotient_map, rref_mod)
+from .exactlin import (check_prime, check_weight, coords_in_rowspace, kernel_mod,
+                       matmul_mod, quotient_map, rref_mod)
 from .hecke import merel_set
 from .lvalues import S, dual_act_matrix, gamma_infty_invariants
 
@@ -61,9 +60,8 @@ def boundary_space(k, p):
     _quotient_setup checks that it lies in the level-one space.
     """
     check_weight(k, p)
-    rows = [(lam.coords - lam.act(S).coords) % p
-            for lam in gamma_infty_invariants(k - 2, p)]
-    return rref_mod(np.reshape(rows, (-1, k - 1)), p)[0]
+    inv = gamma_infty_invariants(k - 2, p)
+    return rref_mod((inv - matmul_mod(inv, dual_act_matrix(S, k - 2, p).T, p)) % p, p)[0]
 
 
 @lru_cache(maxsize=8)
@@ -185,29 +183,3 @@ def eis_eigenvector(p, k, primes=(2,)):
     the quotient Hecke matrices for eigenvalue verification."""
     space, tmats, _, _ = _eisenstein_space(p, k, primes)
     return space, tmats
-
-
-def eisenstein_q_coeffs(k, p, nmax):
-    """First coefficients of G_k and s_{2, omega^(2-k)} mod p.
-
-    Returns (g, s): g[0] = -B_k/(2k), g[n] = sigma_{k-1}(n); s[0] = 0,
-    s[n] = sum_{d | n} omega^(2-k)(n/d) * d, with omega vanishing at
-    multiples of p.
-    """
-    g = np.zeros(nmax + 1, dtype=np.int64)
-    s = np.zeros(nmax + 1, dtype=np.int64)
-    if k % (p - 1) == 0:
-        raise ValueError("constant term has a Bernoulli pole at this weight")
-    g[0] = (-bernoulli_over_k_mod(k, p) * inv_mod(2, p)) % p
-    e = (2 - k) % (p - 1)
-    for nn in range(1, nmax + 1):
-        tg = ts = 0
-        for d in range(1, nn + 1):
-            if nn % d == 0:
-                tg += pow(d, k - 1, p)
-                m = nn // d
-                if m % p:
-                    ts += pow(m, e, p) * d
-        g[nn] = tg % p
-        s[nn] = ts % p
-    return g, s

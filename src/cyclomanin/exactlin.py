@@ -401,17 +401,6 @@ def system_kernels_bytes(w, count):
     return 8 * (folded + narrow)
 
 
-def inv_mod_matrix(a, p):
-    """Inverse of a square matrix over F_p; raises ValueError if singular."""
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    aug, piv = rref_mod(np.hstack([a % p, np.eye(d, dtype=np.int64)]), p)
-    if piv != list(range(d)):
-        raise ValueError("matrix not invertible")
-    return aug[:, d:]
-
-
 def coords_in_rowspace(rref, pivots, v, p):
     """(coeff, ok) for the rows of v, a single vector being one row.
 

@@ -4,14 +4,14 @@
 as 0 whenever x*delta is non-primitive mod p^n (only possible when
 p | m).  No coefficient twist enters this sum: the untwisted form is
 what reproduces the eigenvalue l + chi(l) on the supported-at-infinity
-subspace, which the tests pin down.
+subspace, which the tests pin down.  The closed-form T_2/T_3 sums and
+the matrix of T_m on a span of symbols are in tests/oracles.py.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import coords_in_rowspace, inv_mod_matrix, matmul_mod, rref_mod
 from .manin import ManinTable, image_keys
 
 
@@ -65,42 +65,3 @@ CLOSED_FORMS = {
     3: [(1, 0, 0, 3), (3, 0, 0, 1), (1, 1, 0, 3), (3, 0, 1, 1),
         (1, -1, 0, 3), (3, 0, 1, -1)],
 }
-
-
-def hecke_closed_form(e, q):
-    """The short T_2/T_3 formulas:
-
-    (e|T_2)(x,y) = e(x,2y) + e(2x,y) + e(x+y,2y) + e(2x,x+y)
-    (e|T_3)(x,y) = e(x,3y) + e(3x,y) + e(x+y,3y) + e(3x,x+y)
-                   + e(x-y,3y) + e(3x,x-y)
-
-    Terms with a non-primitive argument count 0 (never happens for
-    q != p since the maps are invertible mod p^n).  Agrees with
-    hecke_apply on every validated symbol.
-    """
-    if q not in CLOSED_FORMS:
-        raise ValueError("closed forms exist for q in {2, 3} only")
-    return _term_sum(e, CLOSED_FORMS[q])
-
-
-def hecke_matrix(tables, m):
-    """Matrix of T_m on the span of the given validated tables.
-
-    Row i holds the coordinates of T_m(tables[i]) over the tables,
-    solved exactly; raises if the span is not T_m-stable.
-    """
-    p = tables[0].p
-    basis = np.stack([t.values.ravel() for t in tables])
-    rref, piv = rref_mod(basis, p)
-    if len(piv) != len(tables):
-        raise ValueError("tables must be linearly independent")
-    base_coeff, ok = coords_in_rowspace(rref, piv, basis, p)
-    if not ok.all():
-        raise RuntimeError("tables must lie in their own row space")
-    # change of basis: basis = base_coeff @ rref
-    images = np.stack([hecke_apply(t, m).values.ravel() for t in tables])
-    img_coeff, ok = coords_in_rowspace(rref, piv, images, p)
-    if not ok.all():
-        raise ValueError(f"span is not stable under T_{m}")
-    # solve X @ base_coeff = img_coeff over F_p
-    return matmul_mod(img_coeff, inv_mod_matrix(base_coeff, p), p)

@@ -3,9 +3,10 @@
 W_r is homogeneous degree-r polynomials in X, Y over F_p with the
 right action (F|s)(X,Y) = F((X,Y)s') through the adjugate s' of s.
 V_r is its dual, coordinatized in the basis {lambda_i} dual to
-{(-1)^i X^{r-i} Y^i}.  The L-value of a boundary symbol attached to
-an invariant functional, and the L-values attached to a functional
-rho on the cyclotomic symbol module, are both plain finite sums here.
+{(-1)^i X^{r-i} Y^i}; vectors of both are plain residue arrays.  The
+L-values attached to a functional rho on the cyclotomic symbol module
+are plain finite sums here.  The pairings, the boundary-symbol L-values
+lam - lam|S and the T_p fixed-point check are in tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -91,26 +92,6 @@ def poly_act_matrix(sigma, r, p):
     return out[::-1 if swap_target else 1, ::-1 if swap_source else 1]
 
 
-class PolyVec:
-    """Element of W_r: coefficients of X^i Y^(r-i), i = 0..r."""
-
-    def __init__(self, r, coeffs, p):
-        coeffs = np.asarray(coeffs, dtype=np.int64) % p
-        if coeffs.shape != (r + 1,):
-            raise ValueError(f"need {r + 1} coefficients, got shape {coeffs.shape}")
-        self.r = r
-        self.p = p
-        self.coeffs = coeffs
-
-    def act(self, sigma):
-        mat = poly_act_matrix(sigma, self.r, self.p)
-        return PolyVec(self.r, matmul_mod(mat, self.coeffs, self.p), self.p)
-
-    def __eq__(self, other):
-        return (self.r == other.r and self.p == other.p
-                and np.array_equal(self.coeffs, other.coeffs))
-
-
 def dual_act_matrix(sigma, r, p):
     """Matrix B with coords(lam|sigma) = B @ coords(lam) in the lambda basis.
 
@@ -123,58 +104,9 @@ def dual_act_matrix(sigma, r, p):
     return poly_act_matrix((a, c, b, d), r, p).T
 
 
-class DualVec:
-    """Element of V_r in the basis {lambda_i} dual to {(-1)^i X^(r-i) Y^i}."""
-
-    def __init__(self, r, coords, p):
-        coords = np.asarray(coords, dtype=np.int64) % p
-        if coords.shape != (r + 1,):
-            raise ValueError(f"need {r + 1} coordinates, got shape {coords.shape}")
-        self.r = r
-        self.p = p
-        self.coords = coords
-
-    def act(self, sigma):
-        mat = dual_act_matrix(sigma, self.r, self.p)
-        return DualVec(self.r, matmul_mod(mat, self.coords, self.p), self.p)
-
-    def __eq__(self, other):
-        return (self.r == other.r and self.p == other.p
-                and np.array_equal(self.coords, other.coords))
-
-
-def lambda_basis_vec(r, i, p):
-    coords = np.zeros(r + 1, dtype=np.int64)
-    coords[i] = 1
-    return DualVec(r, coords, p)
-
-
-def pairing(lam, f):
-    """Canonical pairing V_r x W_r -> F_p."""
-    if (lam.r, lam.p) != (f.r, f.p):
-        raise ValueError("pairing needs the same weight and prime on both sides")
-    r, p = lam.r, lam.p
-    i = np.arange(r + 1)
-    signs = np.where(i % 2, p - 1, 1)
-    return int((lam.coords * signs * f.coeffs[r - i]).sum() % p)
-
-
-def perfect_pairing(f, g):
-    """The M_2^+(Z)-equivariant pairing on W_r; needs r! invertible (r < p)."""
-    if (f.r, f.p) != (g.r, g.p):
-        raise ValueError("pairing needs the same weight and prime on both sides")
-    r, p = f.r, f.p
-    if r >= p:
-        raise ValueError("perfect pairing needs r < p (r! invertible)")
-    bt = binom_table(r, p)
-    i = np.arange(r + 1)
-    signs = np.where(i % 2, p - 1, 1)
-    inv_binom = np.array([inv_mod(bt[r, j], p) for j in range(r + 1)], dtype=np.int64)
-    return int((f.coeffs * inv_binom * signs * g.coeffs[r - i]).sum() % p)
-
-
 def gamma_infty_invariants(r, p):
-    """Basis of V_r^{Gamma_infty}: the fixed space of the dual T-action.
+    """Basis rows of V_r^{Gamma_infty}, in lambda coordinates: the fixed
+    space of the dual T-action.
 
     Dimension 1 (spanned by lambda_r) for r < p, and 2 (lambda_r and
     lambda_{p-1}) for p <= r < 2p.
@@ -183,32 +115,7 @@ def gamma_infty_invariants(r, p):
         raise ValueError("invariants computed only for r < 2p")
     mat = dual_act_matrix(T, r, p)
     mat[np.arange(r + 1), np.arange(r + 1)] -= 1
-    basis = kernel_mod(mat % p, p)
-    return [DualVec(r, row, p) for row in basis]
-
-
-def boundary_lambda(lam):
-    """Universal L-value of the boundary symbol attached to invariant lam.
-
-    Lambda(phi) = lam - lam|S; its lambda_i coordinate is L(phi, i+1).
-    """
-    if not lam == lam.act(T):
-        raise ValueError("lam is not Gamma_infty-invariant")
-    out = (lam.coords - lam.act(S).coords) % lam.p
-    return DualVec(lam.r, out, lam.p)
-
-
-def tp_fixed_point(r, p):
-    """Check lambda_r | ((p,0;0,1) + sum_j (1,j;0,p)) = lambda_r in V_r(F_p).
-
-    This is the fixed-point equation a boundary symbol with phi|T_p = phi
-    satisfies; over F_p it forces L-values to vanish at all 0 < i < r.
-    """
-    lam = lambda_basis_vec(r, r, p)
-    total = lam.act((p, 0, 0, 1)).coords.copy()
-    for j in range(p):
-        total = (total + lam.act((1, j, 0, p)).coords) % p
-    return np.array_equal(total, lam.coords)
+    return kernel_mod(mat % p, p)
 
 
 class LValueVector:
@@ -293,7 +200,7 @@ def lvalue_identity_report(p, k, module=None):
             if i in lv.excluded:
                 table[i] = "excluded"
                 continue
-            want = int(matmul_mod(xi_class(module, i, k).coords, rho, p))
+            want = int(matmul_mod(xi_class(module, i, k), rho, p))
             got = lv.values[i]
             table[i] = got
             ok_odd = ok_odd and got == want

@@ -20,6 +20,10 @@ permutation of X_n and one product; (b) multiplies dim x dim matrices.
 Only a table that fails the certificate is scanned unit by unit, which
 names the first offending (x, y, lam), or finds none when chi is not
 multiplicative but (1) still holds, as on the zero table.
+
+The small coefficient modules (trivial, power character, group algebra),
+the dense relation space and the boundary-symbol basis that the tests
+build symbols from are reference code in tests/oracles.py.
 """
 
 import math
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import as_fp, kernel_mod, matmul_mod, primitive_root, unit_group
+from .exactlin import as_fp, matmul_mod, primitive_root, unit_group
 
 
 @lru_cache(maxsize=None)
@@ -36,6 +40,7 @@ def enumerate_X(p, n):
 
     Returns (points, index): points is an (N,2) array; index maps
     x*p^n + y to the row of (x,y), with -1 at non-primitive slots.
+    Cached per (p, n), so both arrays are read-only.
     """
     pn = p**n
     xs, ys = np.divmod(np.arange(pn * pn), pn)
@@ -43,6 +48,7 @@ def enumerate_X(p, n):
     points = np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
     index = np.full(pn * pn, -1, dtype=np.int64)
     index[points[:, 0] * pn + points[:, 1]] = np.arange(len(points))
+    points.flags.writeable = index.flags.writeable = False
     return points, index
 
 
@@ -70,46 +76,12 @@ class CoeffModule:
         got = self._cache.get(lam)
         if got is None:
             got = as_fp(self._act(lam), self.p).reshape(self.dim, self.dim)
+            got.flags.writeable = False       # every later act(lam) returns it
             self._cache[lam] = got
         return got
 
     def __repr__(self):
         return f"CoeffModule({self.name}, p={self.p}, n={self.n}, dim={self.dim})"
-
-
-def trivial_coeffs(p, n=1):
-    return CoeffModule(p, n, 1, lambda lam: np.array([[1]]), "trivial")
-
-
-def power_character_coeffs(p, n, j):
-    """One-dimensional module where lam acts by lam^j mod p.
-
-    These are exactly the F_p^x-valued nebentypes: every such character
-    factors through (Z/p)^x since F_p^x has no p-torsion.
-    """
-    jj = j % (p - 1)
-    return CoeffModule(p, n, 1, lambda lam: np.array([[pow(lam % p, jj, p)]]),
-                       f"omega^{jj}")
-
-
-def group_algebra_coeffs(p, n=1):
-    """The group algebra F_p[(Z/p^n)^x] with sigma_lam permuting the basis.
-
-    This realizes the Artin nebentype: chi(lam) = sigma_lam acting by
-    multiplication on the group algebra.
-    """
-    pn = p**n
-    units = [int(u) for u in unit_group(pn)]
-    pos = {u: i for i, u in enumerate(units)}
-    dim = len(units)
-
-    def act(lam):
-        g = np.zeros((dim, dim), dtype=np.int64)
-        for u in units:
-            g[pos[lam * u % pn], pos[u]] = 1
-        return g
-
-    return CoeffModule(p, n, dim, act, "group-algebra")
 
 
 def image_keys(points, pn, mat):
@@ -137,33 +109,7 @@ class ManinTable:
         self.n = module.n
         self.pn = module.pn
         self.points, self.index = enumerate_X(self.p, self.n)
-        values = as_fp(values, self.p).reshape(len(self.points), module.dim)
-        self.values = values
-
-    def value(self, x, y):
-        i = self.index[(int(x) % self.pn) * self.pn + (int(y) % self.pn)]
-        if i < 0:
-            raise KeyError(f"({x},{y}) is not primitive mod {self.pn}")
-        return self.values[i]
-
-    def __add__(self, other):
-        if self.module is not other.module:
-            raise ValueError("tables over different coefficient modules")
-        return ManinTable(self.module, (self.values + other.values) % self.p)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return ManinTable(self.module, self.values * (int(c) % self.p) % self.p)
-
-    def __eq__(self, other):
-        return (self.module.p, self.module.n, self.module.dim) == \
-               (other.module.p, other.module.n, other.module.dim) and \
-               np.array_equal(self.values, other.values)
-
-    def is_zero(self):
-        return not self.values.any()
+        self.values = as_fp(values, self.p).reshape(len(self.points), module.dim)
 
     def _units_certified(self):
         # checks (a) and (b) of the module docstring; True proves relation (1)
@@ -223,60 +169,3 @@ def is_supported_at_infty(e):
     """True iff e vanishes at every (x,y) with x*y != 0 in Z/p^n."""
     off_axis = (e.points[:, 0] * e.points[:, 1]) % e.pn != 0
     return not e.values[off_axis].any()
-
-
-def manin_relation_space(module):
-    """Matrix whose kernel is the space of M-valued Manin symbols.
-
-    Unknowns are the stacked coefficient vectors over enumerate_X order
-    (point i occupies columns i*dim .. (i+1)*dim-1); row blocks follow
-    relations (1), (2), (3) in that order.  Intended for small p^n; the
-    big symbols are validated pointwise instead.
-    """
-    p, pn, d = module.p, module.pn, module.dim
-    points, index = enumerate_X(p, module.n)
-    npts = len(points)
-    at = np.arange(npts)
-
-    def block(terms):
-        # one relation per point i: the sum over terms of mat at point perm[i]
-        out = np.zeros((npts, d, npts, d), dtype=np.int64)
-        for mat, perm in terms:
-            out[at, :, perm, :] += mat
-        return out.reshape(npts * d, npts * d) % p
-
-    eye = np.eye(d, dtype=np.int64)
-    rows = [block([(eye, _perm(points, index, pn, (lam, 0, 0, lam))),
-                   (-module.act(lam), at)]) for lam in unit_group(pn)]
-    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, 0)))]))
-    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, -1))),
-                       (eye, _perm(points, index, pn, (-1, -1, 1, 0)))]))
-    return np.vstack(rows)
-
-
-def table_from_flat(module, flat):
-    """Rebuild a ManinTable from a stacked coefficient vector (kernel row)."""
-    points, _ = enumerate_X(module.p, module.n)
-    return ManinTable(module, np.asarray(flat, dtype=np.int64).reshape(len(points), module.dim))
-
-
-def symbols_supported_at_infty(module):
-    """Basis of the supported-at-infinity symbols, built directly.
-
-    A boundary symbol is determined by m = e(1,0): e(x,0) = chi(x)m,
-    e(0,y) = -chi(y)m, zero off the axes; relation e(-x) = e(x) forces m
-    to be fixed by chi(-1), so the basis runs over that fixed space.
-    """
-    p, pn, d = module.p, module.pn, module.dim
-    points, _ = enumerate_X(p, module.n)
-    fixed = kernel_mod(module.act(pn - 1) - np.eye(d, dtype=np.int64), p)
-    out = []
-    xs, ys = points[:, 0], points[:, 1]
-    for m in fixed:
-        vals = np.zeros((len(points), d), dtype=np.int64)
-        for i in np.nonzero(ys == 0)[0]:
-            vals[i] = matmul_mod(module.act(xs[i]), m, p)
-        for i in np.nonzero(xs == 0)[0]:
-            vals[i] = (-matmul_mod(module.act(ys[i]), m, p)) % p
-        out.append(ManinTable(module, vals).validate())
-    return out

@@ -1,0 +1,245 @@
+"""Reference code the tests check the package against; no verifier path runs it.
+
+Coefficient modules, the Manin relation space and boundary symbols; the
+closed-form and matrix Hecke operators; eigenprojectors of M_{p,1}; the
+weight-r pairings and boundary L-values, on residue arrays with r and p
+passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
+coordinates); and the level-one q-expansions.
+"""
+
+import numpy as np
+
+from cyclomanin.exactlin import (bernoulli_over_k_mod, coords_in_rowspace, inv_mod,
+                                 kernel_mod, matmul_mod, omega_pow, rref_mod, unit_group)
+from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply
+from cyclomanin.lvalues import S, T, binom_table, dual_act_matrix
+from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X
+
+
+def trivial_coeffs(p, n=1):
+    return CoeffModule(p, n, 1, lambda lam: np.array([[1]]), "trivial")
+
+
+def power_character_coeffs(p, n, j):
+    """One-dimensional module where lam acts by lam^j mod p.
+
+    These are exactly the F_p^x-valued nebentypes: every such character
+    factors through (Z/p)^x since F_p^x has no p-torsion.
+    """
+    jj = j % (p - 1)
+    return CoeffModule(p, n, 1, lambda lam: np.array([[pow(lam % p, jj, p)]]),
+                       f"omega^{jj}")
+
+
+def group_algebra_coeffs(p, n=1):
+    """The group algebra F_p[(Z/p^n)^x] with sigma_lam permuting the basis.
+
+    This realizes the Artin nebentype: chi(lam) = sigma_lam acting by
+    multiplication on the group algebra.
+    """
+    pn = p**n
+    units = [int(u) for u in unit_group(pn)]
+    pos = {u: i for i, u in enumerate(units)}
+    dim = len(units)
+
+    def act(lam):
+        g = np.zeros((dim, dim), dtype=np.int64)
+        for u in units:
+            g[pos[lam * u % pn], pos[u]] = 1
+        return g
+
+    return CoeffModule(p, n, dim, act, "group-algebra")
+
+
+def manin_relation_space(module):
+    """Matrix whose kernel is the space of M-valued Manin symbols.
+
+    Unknowns are the stacked coefficient vectors over enumerate_X order
+    (point i occupies columns i*dim .. (i+1)*dim-1); row blocks follow
+    relations (1), (2), (3) in that order.  Intended for small p^n; the
+    big symbols are validated pointwise instead.
+    """
+    p, pn, d = module.p, module.pn, module.dim
+    points, index = enumerate_X(p, module.n)
+    npts = len(points)
+    at = np.arange(npts)
+
+    def block(terms):
+        # one relation per point i: the sum over terms of mat at point perm[i]
+        out = np.zeros((npts, d, npts, d), dtype=np.int64)
+        for mat, perm in terms:
+            out[at, :, perm, :] += mat
+        return out.reshape(npts * d, npts * d) % p
+
+    eye = np.eye(d, dtype=np.int64)
+    rows = [block([(eye, _perm(points, index, pn, (lam, 0, 0, lam))),
+                   (-module.act(lam), at)]) for lam in unit_group(pn)]
+    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, 0)))]))
+    rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, -1))),
+                       (eye, _perm(points, index, pn, (-1, -1, 1, 0)))]))
+    return np.vstack(rows)
+
+
+def table_from_flat(module, flat):
+    """Rebuild a ManinTable from a stacked coefficient vector (kernel row)."""
+    points, _ = enumerate_X(module.p, module.n)
+    return ManinTable(module, np.asarray(flat, dtype=np.int64).reshape(len(points), module.dim))
+
+
+def symbols_supported_at_infty(module):
+    """Basis of the supported-at-infinity symbols, built directly.
+
+    A boundary symbol is determined by m = e(1,0): e(x,0) = chi(x)m,
+    e(0,y) = -chi(y)m, zero off the axes; relation e(-x) = e(x) forces m
+    to be fixed by chi(-1), so the basis runs over that fixed space.
+    """
+    p, pn, d = module.p, module.pn, module.dim
+    points, _ = enumerate_X(p, module.n)
+    fixed = kernel_mod(module.act(pn - 1) - np.eye(d, dtype=np.int64), p)
+    out = []
+    xs, ys = points[:, 0], points[:, 1]
+    for m in fixed:
+        vals = np.zeros((len(points), d), dtype=np.int64)
+        for i in np.nonzero(ys == 0)[0]:
+            vals[i] = matmul_mod(module.act(xs[i]), m, p)
+        for i in np.nonzero(xs == 0)[0]:
+            vals[i] = (-matmul_mod(module.act(ys[i]), m, p)) % p
+        out.append(ManinTable(module, vals).validate())
+    return out
+
+
+def hecke_closed_form(e, q):
+    """The short T_2/T_3 formulas:
+
+    (e|T_2)(x,y) = e(x,2y) + e(2x,y) + e(x+y,2y) + e(2x,x+y)
+    (e|T_3)(x,y) = e(x,3y) + e(3x,y) + e(x+y,3y) + e(3x,x+y)
+                   + e(x-y,3y) + e(3x,x-y)
+
+    Terms with a non-primitive argument count 0 (never happens for
+    q != p since the maps are invertible mod p^n).  Agrees with
+    hecke_apply on every validated symbol.
+    """
+    if q not in CLOSED_FORMS:
+        raise ValueError("closed forms exist for q in {2, 3} only")
+    return _term_sum(e, CLOSED_FORMS[q])
+
+
+def inv_mod_matrix(a, p):
+    """Inverse of a square matrix over F_p; raises ValueError if singular."""
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    aug, piv = rref_mod(np.hstack([a % p, np.eye(d, dtype=np.int64)]), p)
+    if piv != list(range(d)):
+        raise ValueError("matrix not invertible")
+    return aug[:, d:]
+
+
+def hecke_matrix(tables, m):
+    """Matrix of T_m on the span of the given validated tables.
+
+    Row i holds the coordinates of T_m(tables[i]) over the tables,
+    solved exactly; raises if the span is not T_m-stable.
+    """
+    p = tables[0].p
+    basis = np.stack([t.values.ravel() for t in tables])
+    rref, piv = rref_mod(basis, p)
+    if len(piv) != len(tables):
+        raise ValueError("tables must be linearly independent")
+    base_coeff, ok = coords_in_rowspace(rref, piv, basis, p)
+    if not ok.all():
+        raise RuntimeError("tables must lie in their own row space")
+    # change of basis: basis = base_coeff @ rref
+    images = np.stack([hecke_apply(t, m).values.ravel() for t in tables])
+    img_coeff, ok = coords_in_rowspace(rref, piv, images, p)
+    if not ok.all():
+        raise ValueError(f"span is not stable under T_{m}")
+    # solve X @ base_coeff = img_coeff over F_p
+    return matmul_mod(img_coeff, inv_mod_matrix(base_coeff, p), p)
+
+
+def eigen_projector(module, j):
+    """Idempotent projecting to the omega^(1-j) eigencomponent (n = 1 only)."""
+    if module.n != 1:
+        raise ValueError("eigen projectors need n = 1")
+    p = module.p
+    acc = np.zeros((module.dim, module.dim), dtype=np.int64)
+    for a in range(1, p):
+        acc = (acc + omega_pow(a, j - 1, p) * module.galois_matrix(a)) % p
+    return acc * inv_mod(p - 1, p) % p
+
+
+def _weight_r(r, p, *vecs):
+    # the vectors as residues of W_r or V_r, each with r + 1 coordinates
+    vecs = [np.asarray(v, dtype=np.int64) % p for v in vecs]
+    if any(v.shape != (r + 1,) for v in vecs):
+        raise ValueError(f"need {r + 1} coordinates, got {[v.shape for v in vecs]}")
+    return vecs
+
+
+def pairing(lam, f, r, p):
+    """Canonical pairing V_r x W_r -> F_p."""
+    lam, f = _weight_r(r, p, lam, f)
+    i = np.arange(r + 1)
+    return int((lam * np.where(i % 2, p - 1, 1) * f[r - i]).sum() % p)
+
+
+def perfect_pairing(f, g, r, p):
+    """The M_2^+(Z)-equivariant pairing on W_r; needs r! invertible (r < p)."""
+    f, g = _weight_r(r, p, f, g)
+    if r >= p:
+        raise ValueError("perfect pairing needs r < p (r! invertible)")
+    bt = binom_table(r, p)
+    i = np.arange(r + 1)
+    signs = np.where(i % 2, p - 1, 1)
+    inv_binom = np.array([inv_mod(bt[r, j], p) for j in range(r + 1)], dtype=np.int64)
+    return int((f * inv_binom * signs * g[r - i]).sum() % p)
+
+
+def boundary_lambda(lam, r, p):
+    """Universal L-value of the boundary symbol attached to invariant lam.
+
+    Lambda(phi) = lam - lam|S; its lambda_i coordinate is L(phi, i+1).
+    """
+    (lam,) = _weight_r(r, p, lam)
+    if not np.array_equal(matmul_mod(dual_act_matrix(T, r, p), lam, p), lam):
+        raise ValueError("lam is not Gamma_infty-invariant")
+    return (lam - matmul_mod(dual_act_matrix(S, r, p), lam, p)) % p
+
+
+def tp_fixed_point(r, p):
+    """Check lambda_r | ((p,0;0,1) + sum_j (1,j;0,p)) = lambda_r in V_r(F_p).
+
+    This is the fixed-point equation a boundary symbol with phi|T_p = phi
+    satisfies; over F_p it forces L-values to vanish at all 0 < i < r.
+    """
+    lam = np.eye(r + 1, dtype=np.int64)[r]
+    sigmas = [(p, 0, 0, 1)] + [(1, j, 0, p) for j in range(p)]
+    total = sum(matmul_mod(dual_act_matrix(s, r, p), lam, p) for s in sigmas) % p
+    return np.array_equal(total, lam)
+
+
+def eisenstein_q_coeffs(k, p, nmax):
+    """First coefficients of G_k and s_{2, omega^(2-k)} mod p.
+
+    Returns (g, s): g[0] = -B_k/(2k), g[n] = sigma_{k-1}(n); s[0] = 0,
+    s[n] = sum_{d | n} omega^(2-k)(n/d) * d, with omega vanishing at
+    multiples of p.
+    """
+    g = np.zeros(nmax + 1, dtype=np.int64)
+    s = np.zeros(nmax + 1, dtype=np.int64)
+    if k % (p - 1) == 0:
+        raise ValueError("constant term has a Bernoulli pole at this weight")
+    g[0] = (-bernoulli_over_k_mod(k, p) * inv_mod(2, p)) % p
+    e = (2 - k) % (p - 1)
+    for nn in range(1, nmax + 1):
+        tg = ts = 0
+        for d in range(1, nn + 1):
+            if nn % d == 0:
+                tg += pow(d, k - 1, p)
+                m = nn // d
+                if m % p:
+                    ts += pow(m, e, p) * d
+        g[nn] = tg % p
+        s[nn] = ts % p
+    return g, s

@@ -12,12 +12,11 @@ import sympy
 from cyclomanin.cyclok2 import build_cyclo_module, e_manin, verify_hecke_eigenvalue
 from cyclomanin.eisspace import eis_eigenspace, eis_eigenvector
 from cyclomanin.exactlin import is_irregular_pair, kernel_mod, matmul_mod
-from cyclomanin.hecke import hecke_apply, hecke_closed_form
-from cyclomanin.lvalues import (boundary_lambda, gamma_infty_invariants,
-                                lvalue_identity_report)
-from cyclomanin.manin import (group_algebra_coeffs, manin_relation_space,
-                              power_character_coeffs, symbols_supported_at_infty,
-                              table_from_flat, trivial_coeffs)
+from cyclomanin.hecke import hecke_apply
+from cyclomanin.lvalues import gamma_infty_invariants, lvalue_identity_report
+from oracles import (boundary_lambda, group_algebra_coeffs, hecke_closed_form,
+                     manin_relation_space, power_character_coeffs,
+                     symbols_supported_at_infty, table_from_flat, trivial_coeffs)
 
 PN_LIST = ((5, 1), (7, 1), (11, 1), (13, 1), (37, 1), (5, 2))
 IRREGULAR_PAIRS = ((37, 32), (59, 44), (67, 58), (101, 68), (103, 24))
@@ -59,7 +58,8 @@ def test_criterion_03_merel_closed_form_consistency():
             coeff = rng.integers(0, p, size=len(ker))
             tab = table_from_flat(module, coeff @ ker % p).validate()
             for q in (2, 3):
-                assert hecke_closed_form(tab, q) == hecke_apply(tab, q)
+                assert np.array_equal(hecke_closed_form(tab, q).values,
+                                      hecke_apply(tab, q).values)
     finish(3, "closed-form T_q = Merel sum on 100 random symbols per level", t0)
 
 
@@ -82,7 +82,7 @@ def test_criterion_04_boundary_eigenvalues():
                 want = (ell * tab.values
                         + matmul_mod(tab.values, module.act(ell).T, p)) % p
                 assert np.array_equal(got.values, want)
-            assert hecke_apply(tab, p).is_zero()
+            assert not hecke_apply(tab, p).values.any()
     finish(4, "T_l = l + chi(l) and T_p = 0 on boundary symbols", t0)
 
 
@@ -99,10 +99,10 @@ def test_criterion_06_boundary_lvalue_vanishing():
     t0 = time.monotonic()
     for p, r in ((5, 8), (7, 10), (37, 30)):
         for lam in gamma_infty_invariants(r, p):
-            out = boundary_lambda(lam)
+            out = boundary_lambda(lam, r, p)
             for i in range(r + 1):
                 if i % (p - 1) and (i - r) % (p - 1):
-                    assert out.coords[i] == 0, (p, r, i)
+                    assert out[i] == 0, (p, r, i)
     finish(6, "boundary L-values vanish at i != 0, r mod p-1", t0)
 
 

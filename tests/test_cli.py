@@ -198,6 +198,21 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,form", (
+    (["verify-manin", "--p", "5", "--flags", "F1-F4,F7"], "F1-F4"),
+    (["verify-manin", "--p", "5", "--flags", "1-4"], "F1-F4"),
+    (["verify-hecke", "--p", "5", "--flags", "F1-"], "F1-F4"),
+    (["eis-dim", "--p", "7", "--k", "4", "--primes", "2,x"], "2,3"),
+    (["eis-dim", "--p", "7", "--k", "4", "--primes", ""], "2,3"),
+))
+def test_malformed_lists_name_their_option_and_its_forms(capsys, argv, form):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert argv[-2] in message and form in message, message
+
+
 def test_eis_dim_names_the_int64_bound(capsys):
     with pytest.raises(SystemExit) as err:
         main(["eis-dim", "--p", "2147483647", "--k", "12"])

@@ -6,9 +6,9 @@ import pytest
 from cyclomanin import eisspace
 from cyclomanin.eisspace import (_op_on_level, _quotient_setup, boundary_space,
                                  conj_matrix, eis_eigenspace, eis_eigenvector,
-                                 eisenstein_q_coeffs, hecke_matrix_dual,
-                                 level1_space)
+                                 hecke_matrix_dual, level1_space)
 from cyclomanin.exactlin import rref_mod
+from oracles import eisenstein_q_coeffs
 
 
 def test_level1_dimensions_match_classical_multiplicities():

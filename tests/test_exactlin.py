@@ -13,11 +13,11 @@ from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_m
                                  _panel_width, bernoulli_over_k_mod,
                                  check_int64_sums, check_prime,
                                  coords_in_rowspace, int64_terms, inv_mod,
-                                 inv_mod_matrix, irregular_weights, is_irregular_pair,
-                                 is_prime, kernel_mod, matmul_mod, omega_pow,
-                                 power_table, primitive_root, quotient_map,
-                                 rref_mod, stack_kernels, system_kernels,
-                                 unit_group)
+                                 irregular_weights, is_irregular_pair, is_prime,
+                                 kernel_mod, matmul_mod, omega_pow, power_table,
+                                 primitive_root, quotient_map, rref_mod,
+                                 stack_kernels, system_kernels, unit_group)
+from oracles import inv_mod_matrix
 
 
 @st.composite

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cyclomanin.exactlin import kernel_mod, matmul_mod
-from cyclomanin.hecke import (hecke_apply, hecke_closed_form, hecke_matrix,
-                              merel_set)
-from cyclomanin.manin import (ManinTable, group_algebra_coeffs,
-                              is_supported_at_infty, manin_relation_space,
-                              power_character_coeffs, symbols_supported_at_infty,
-                              table_from_flat, trivial_coeffs)
+from cyclomanin.hecke import hecke_apply, merel_set
+from cyclomanin.manin import ManinTable, is_supported_at_infty
+from oracles import (group_algebra_coeffs, hecke_closed_form, hecke_matrix,
+                     manin_relation_space, power_character_coeffs,
+                     symbols_supported_at_infty, table_from_flat, trivial_coeffs)
 
 
 def test_merel_sets_2_and_3_are_the_known_lists():
@@ -58,11 +57,9 @@ def test_closed_form_matches_merel_sum(make):
     rng = np.random.default_rng(7)
     for _ in range(25):
         coeff = rng.integers(0, module.p, size=len(tables))
-        tab = tables[0].scale(coeff[0])
-        for c, t in zip(coeff[1:], tables[1:]):
-            tab = tab + t.scale(c)
+        tab = ManinTable(module, sum(c * t.values for c, t in zip(coeff, tables)))
         for q in (2, 3):
-            assert hecke_closed_form(tab, q) == hecke_apply(tab, q)
+            assert np.array_equal(hecke_closed_form(tab, q).values, hecke_apply(tab, q).values)
 
 
 def test_closed_form_rejects_other_primes():
@@ -117,20 +114,20 @@ def test_tp_vanishes_for_even_nontrivial_character():
                    power_character_coeffs(7, 1, 4),
                    power_character_coeffs(5, 2, 2)):
         for tab in symbols_supported_at_infty(module):
-            assert hecke_apply(tab, module.p).is_zero()
+            assert not hecke_apply(tab, module.p).values.any()
 
 
 def test_tp_vanishes_for_trivial_character_at_n2():
     module = trivial_coeffs(5, 2)
     for tab in symbols_supported_at_infty(module):
-        assert hecke_apply(tab, 5).is_zero()
+        assert not hecke_apply(tab, 5).values.any()
 
 
 def test_tp_fixes_trivial_character_at_n1():
     # p - (p-1) surviving terms on the axes leave e itself, not 0
     module = trivial_coeffs(5)
     for tab in symbols_supported_at_infty(module):
-        assert hecke_apply(tab, 5) == tab
+        assert np.array_equal(hecke_apply(tab, 5).values, tab.values)
 
 
 def test_tp_on_group_algebra_is_minus_norm():
@@ -177,6 +174,6 @@ def test_hecke_matrix_unstable_span_raises():
         assert len(set(scales)) >= 2
         a = next(t for t, s in zip(tables, scales) if s == scales[0])
         b = next(t for t, s in zip(tables, scales) if s != scales[0])
-        probe = a + b
+        probe = ManinTable(module, a.values + b.values)
     with pytest.raises(ValueError):
         hecke_matrix([probe], 2)

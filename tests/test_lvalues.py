@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from cyclomanin.cyclok2 import build_cyclo_module, rho_basis, xi_class
 from cyclomanin.exactlin import coords_in_rowspace, matmul_mod, rref_mod
-from cyclomanin.lvalues import (DualVec, PolyVec, S, T,
-                                boundary_lambda, dual_act_matrix,
-                                gamma_infty_invariants, l_values_from_rho,
-                                lambda_basis_vec, lvalue_identity_report,
-                                pairing, perfect_pairing, poly_act_matrix,
-                                tp_fixed_point, twist_eigenvalue_identity)
+from cyclomanin.lvalues import (S, T, dual_act_matrix, gamma_infty_invariants,
+                                l_values_from_rho, lvalue_identity_report,
+                                poly_act_matrix, twist_eigenvalue_identity)
+from oracles import boundary_lambda, pairing, perfect_pairing, tp_fixed_point
 
 mats = st.tuples(*(st.integers(-6, 6) for _ in range(4)))
 
@@ -91,9 +89,9 @@ def test_weight_one_action_by_hand():
     # F = aX + bY, sigma = (1,1,0,1): (X,Y) -> (X, -X+Y) via the adjugate,
     # so F|sigma = aX + b(Y-X); coordinates are (Y-coeff, X-coeff)
     p = 11
-    f = PolyVec(1, [3, 4], p)        # 4X + 3Y
-    got = f.act((1, 1, 0, 1))
-    assert got.coeffs.tolist() == [3, (4 - 3) % p]
+    f = [3, 4]                       # 4X + 3Y
+    got = matmul_mod(poly_act_matrix((1, 1, 0, 1), 1, p), f, p)
+    assert got.tolist() == [3, (4 - 3) % p]
 
 
 def test_pairing_is_dual_to_the_signed_monomials():
@@ -102,9 +100,8 @@ def test_pairing_is_dual_to_the_signed_monomials():
         for j in range(r + 1):
             mono = np.zeros(r + 1, dtype=np.int64)
             mono[r - j] = (-1) ** j % p
-            f = PolyVec(r, mono, p)
             want = 1 if i == j else 0
-            assert pairing(lambda_basis_vec(r, i, p), f) == want
+            assert pairing(np.eye(r + 1, dtype=np.int64)[i], mono, r, p) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,10 +113,9 @@ def test_pairing_scales_by_det_power(sigma, data):
                                 max_size=r + 1))
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=r + 1,
                                 max_size=r + 1))
-    lam = DualVec(r, coords, p)
-    f = PolyVec(r, coeffs, p)
-    lhs = pairing(lam.act(sigma), f.act(sigma))
-    assert lhs == pow(det, r, p) * pairing(lam, f) % p
+    lhs = pairing(matmul_mod(dual_act_matrix(sigma, r, p), coords, p),
+                  matmul_mod(poly_act_matrix(sigma, r, p), coeffs, p), r, p)
+    assert lhs == pow(det, r, p) * pairing(coords, coeffs, r, p) % p
 
 
 def test_perfect_pairing_equivariance_and_symmetry():
@@ -127,18 +123,18 @@ def test_perfect_pairing_equivariance_and_symmetry():
     r, p = 6, 13
     for sigma, det in (((1, 0, 0, 2), 2), ((2, 1, 1, 1), 1), ((1, 1, 0, 3), 3)):
         for _ in range(8):
-            f = PolyVec(r, rng.integers(0, p, r + 1), p)
-            g = PolyVec(r, rng.integers(0, p, r + 1), p)
-            lhs = perfect_pairing(f.act(sigma), g.act(sigma))
-            assert lhs == pow(det, r, p) * perfect_pairing(f, g) % p
-            assert perfect_pairing(f, g) == \
-                pow(-1, r, p) * perfect_pairing(g, f) % p
+            f, g = rng.integers(0, p, (2, r + 1))
+            act = poly_act_matrix(sigma, r, p)
+            lhs = perfect_pairing(matmul_mod(act, f, p), matmul_mod(act, g, p), r, p)
+            assert lhs == pow(det, r, p) * perfect_pairing(f, g, r, p) % p
+            assert perfect_pairing(f, g, r, p) == \
+                pow(-1, r, p) * perfect_pairing(g, f, r, p) % p
 
 
 def test_perfect_pairing_needs_small_weight():
-    f = PolyVec(13, np.ones(14, dtype=np.int64), 13)
+    f = np.ones(14, dtype=np.int64)
     with pytest.raises(ValueError):
-        perfect_pairing(f, f)
+        perfect_pairing(f, f, 13, 13)
 
 
 def adjugate(sigma):
@@ -169,15 +165,14 @@ def test_invariant_dimensions(r, p, dim):
     inv = gamma_infty_invariants(r, p)
     assert len(inv) == dim
     for lam in inv:
-        assert lam.act(T) == lam
+        assert np.array_equal(matmul_mod(dual_act_matrix(T, r, p), lam, p), lam)
 
 
 def test_invariants_span_the_expected_lambdas():
     for r, p in ((6, 5), (12, 7)):
-        rows = np.stack([lam.coords for lam in gamma_infty_invariants(r, p)])
-        ref, piv = rref_mod(rows, p)
+        ref, piv = rref_mod(gamma_infty_invariants(r, p), p)
         for i in (r, p - 1):
-            _, ok = coords_in_rowspace(ref, piv, lambda_basis_vec(r, i, p).coords, p)
+            _, ok = coords_in_rowspace(ref, piv, np.eye(r + 1, dtype=np.int64)[i], p)
             assert ok.all()
     with pytest.raises(ValueError):
         gamma_infty_invariants(10, 5)
@@ -185,15 +180,15 @@ def test_invariants_span_the_expected_lambdas():
 
 def test_boundary_lvalues_are_plus_minus_one_at_the_ends():
     for r, p in ((8, 5), (10, 7), (30, 37)):
-        out = boundary_lambda(lambda_basis_vec(r, r, p))
+        out = boundary_lambda(np.eye(r + 1, dtype=np.int64)[r], r, p)
         want = np.zeros(r + 1, dtype=np.int64)
         want[0], want[r] = p - 1, 1
-        assert np.array_equal(out.coords, want)
+        assert np.array_equal(out, want)
 
 
 def test_boundary_lambda_rejects_non_invariants():
     with pytest.raises(ValueError):
-        boundary_lambda(lambda_basis_vec(4, 1, 7))
+        boundary_lambda(np.eye(5, dtype=np.int64)[1], 4, 7)
 
 
 def test_tp_fixed_point_holds_mod_p():
@@ -227,7 +222,7 @@ def test_lvalues_frozen_vector():
 def test_lvalues_match_xi_pairing_directly():
     module, rho, lv = frozen_lvalues_37_32()
     for i in range(3, 30, 2):
-        want = int(xi_class(module, i, 32).coords @ rho % 37)
+        want = int(xi_class(module, i, 32) @ rho % 37)
         assert lv.values[i] == want
 
 
