@@ -2,9 +2,10 @@
 
 Each subcommand prints one CheckReport as JSON on stdout and exits 0
 iff every check passed (1 on a failed check, 2 on usage errors).
-Tables (L-value vectors, pair sweeps) can additionally be written as
-CSV via --csv; fixture regeneration goes through the fixtures
-subcommand and writes canonical JSON files.
+The two subcommands whose reports carry a table, irregular-pairs (pair
+sweeps) and lvalues (L-value vectors), can additionally write it as CSV
+via --csv; fixture regeneration goes through the fixtures subcommand and
+writes canonical JSON files.
 """
 
 import argparse
@@ -65,7 +66,7 @@ def cmd_verify_manin(args):
 
 def cmd_verify_hecke(args):
     module = build_cyclo_module(args.p, args.n, parse_flags(args.flags))
-    qs = (args.q,) if args.q else (2, 3)
+    qs = (2, 3) if args.q is None else (args.q,)
     return verify_hecke_eigenvalue(module, qs=qs)
 
 
@@ -189,10 +190,11 @@ def _build_parser():
         for flag, (kind, default, required, *doc) in flag_spec.items():
             sp.add_argument(flag, type=kind, default=default, required=required,
                             help=doc[0] if doc else None)
-        sp.add_argument("--csv", type=str, default="",
-                        help="also write the report's table as CSV here")
         sp.set_defaults(func=func)
         return sp
+
+    # only the subcommands whose reports carry a table take --csv
+    csv_spec = (str, "", False, "also write the report's table as CSV here")
 
     add("verify-manin", cmd_verify_manin,
         "check that e(x,y) satisfies the three Manin relations",
@@ -201,7 +203,7 @@ def _build_parser():
     add("verify-hecke", cmd_verify_hecke,
         "check (e|T_q) = (q + sigma_q) e away from the axes",
         **{"--p": (int, None, True), "--n": (int, 1, False),
-           "--q": (int, 0, False), "--flags": (str, "all", False)})
+           "--q": (int, None, False), "--flags": (str, "all", False)})
     add("verify-lvalues", cmd_verify_lvalues,
         "check L(psi,i) = rho(xi_i) for odd i, plus the twist identity",
         **{"--p": (int, None, True), "--k": (int, None, True)})
@@ -214,10 +216,10 @@ def _build_parser():
                         "only fall as S grows")})
     add("irregular-pairs", cmd_irregular_pairs,
         "sweep irregular pairs (p, k) with p up to --max-p",
-        **{"--max-p": (int, None, True)})
+        **{"--max-p": (int, None, True), "--csv": csv_spec})
     add("lvalues", cmd_lvalues,
         "tabulate the mod-p special L-values attached to each functional",
-        **{"--p": (int, None, True), "--k": (int, None, True)})
+        **{"--p": (int, None, True), "--k": (int, None, True), "--csv": csv_spec})
     fx = add("fixtures", cmd_fixtures,
              "recompute derived fixtures and write canonical JSON",
              **{"--fixtures": (str, "fixtures", False)})
@@ -234,7 +236,7 @@ def main(argv=None):
     except ValueError as exc:
         ap.exit(2, f"usage error: {exc}\n")
     sys.stdout.write(rep.to_json() + "\n")
-    if args.csv and rep.table is not None:
+    if getattr(args, "csv", "") and rep.table is not None:
         header, rows = rep.table
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)

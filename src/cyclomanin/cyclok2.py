@@ -39,11 +39,13 @@ is thus a small kernel, lifted back to class coordinates.  The kernels
 come from exactlin.system_kernels, which takes each system as its
 (row, column, value) triplets.  A system with more rows than w + 16, w its
 unknowns (every one a build makes at p >= 11), is folded as it is built into a
-CountSketch of w + 16 rows; the narrow folds (w <= 32: every j at n = 1
-and p <= 131) are eliminated together in one batched column loop, the
-wider ones one at a time, and each nonempty kernel is certified against
-the triplets of its system, so the kernels are exact.  The size guard
-takes the elimination's share from exactlin.system_kernels_bytes.  The quotient
+CountSketch of w + 16 rows.  The folds of one width are eliminated together,
+as one stack: by one batched column loop when w <= 32 (every j at n = 1 and
+p <= 131), and one panel of columns at a time when wider.  Each nonempty
+kernel is certified against the triplets of its system, so the kernels are
+exact.  The size guard takes the elimination's share from
+exactlin.system_kernels_bytes, which also sets how many folds a stack
+holds before it is eliminated.  The quotient
 map is the unique echelon basis of W whose rows end in a 1 at the free
 classes, where all other rows vanish: one row reduction of W with its
 columns reversed gives exactly what a row reduction of the dense F4-F7
@@ -51,13 +53,13 @@ matrix would.  Tests check this against that dense reduction and against
 a monolithic row reduction of the full generator-level relation matrix.
 """
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (check_prime, kernel_mod, matmul_mod, omega_pow, power_table,
-                       primitive_root, rref_mod, system_kernels, system_kernels_bytes)
+from .exactlin import (check_memory, check_prime, kernel_mod, matmul_mod, omega_pow,
+                       power_table, primitive_root, rref_mod, system_kernels,
+                       system_kernels_bytes)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -122,13 +124,8 @@ def _build_bytes(p, n, flags):
 
 
 def _check_build_size(p, n, flags):
-    need = _build_bytes(p, n, flags)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"p^n = {p**n} is too large: the generator grid and the "
-                         f"largest character's relation system need about "
-                         f"{need / 2**30:,.1f} GiB, more than the "
-                         f"{have / 2**30:,.1f} GiB of physical memory")
+    check_memory(_build_bytes(p, n, flags), f"p^n = {p**n}",
+                 "the generator grid and the largest character's relation system")
 
 
 class CycloModule:

@@ -12,17 +12,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (check_prime, check_weight, coords_in_rowspace, kernel_mod,
-                       matmul_mod, quotient_map, rref_mod)
+from .exactlin import (check_memory, check_prime, check_weight, coords_in_rowspace,
+                       kernel_mod, matmul_mod, quotient_map, rref_mod)
 from .hecke import merel_set
 from .lvalues import S, dual_act_matrix, gamma_infty_invariants
 
 U = (0, -1, 1, -1)    # order-3 generator; S*U = T
 
 
+def _setup_bytes(k):
+    """About the peak bytes of the level-one pipeline at weight k: it holds
+    about 16 int64 blocks of (k - 1)^2 entries, the operators on V_{k-2}
+    and the products and eliminations that combine them."""
+    return 8 * 16 * (k - 1) ** 2
+
+
 def level1_space(k, p):
-    """Basis rows of {v in V_{k-2} : v + v|S = 0, v + v|U + v|U^2 = 0}."""
+    """Basis rows of {v in V_{k-2} : v + v|S = 0, v + v|U + v|U^2 = 0}.
+
+    A k whose pipeline would exceed physical memory (_setup_bytes) raises
+    ValueError before anything is allocated.
+    """
     check_weight(k, p)
+    check_memory(_setup_bytes(k), f"k = {k}", "the level-one (k - 1)^2 blocks")
     r = k - 2
     eye = np.eye(r + 1, dtype=np.int64)
     bs = dual_act_matrix(S, r, p)

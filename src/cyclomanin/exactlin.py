@@ -6,22 +6,28 @@ pivot to 1 with modular inverses, so the output is the canonical reduced
 row echelon form of the row space and does not depend on the order the
 input rows were given in.
 
-Every elimination runs one column loop, `_eliminate_columns`, over a
-stack of matrices; a single matrix is a stack of one.  `system_kernels`
-solves many tall sparse systems, each given by its (row, column, value)
-triplets.  Each is folded as it is built, by one np.bincount, into a
-CountSketch S A with _SLACK more rows than A has columns: every row of A
-goes, times a random multiplier, into one of those rows.  The folded
-blocks of one narrow width are reduced as one stack, wider ones one at a
-time.  The result is exact, not probabilistic: ker A lies in ker S A, so
-a folded block of full column rank proves ker A = 0, and a nonempty
-kernel K of S A is kept only once A K^T = 0 is checked on the triplets of
-A, which is otherwise solved by kernel_mod; system_kernels_bytes models
-its memory.  int64_terms(p), the number of products of residues an int64
-sum can take, is the one place the int64 bound is written.
+Every elimination runs one routine, `_eliminate_panels`, over a stack of
+matrices; a single matrix is a stack of one.  On blocks at most _PANEL
+columns wide it is the column loop `_eliminate_columns`; on wider ones it
+runs that loop one panel of columns at a time and clears each panel from
+the other rows of the whole stack with batched matmul_mod products.
+`system_kernels` solves many tall sparse systems, each given by its (row,
+column, value) triplets.  Each is folded as it is built, by one
+np.bincount, into a CountSketch S A with _SLACK more rows than A has
+columns: every row of A goes, times a random multiplier, into one of
+those rows.  The folded blocks of one shape are reduced as one stack,
+eliminated whenever it holds as many as system_kernels_bytes, the model
+of its memory, has room for.  The result is exact, not probabilistic:
+ker A lies in ker S A, so a folded block of full column rank proves
+ker A = 0, and a nonempty kernel K of S A is kept only once A K^T = 0 is
+checked on the triplets of A, which is otherwise solved by kernel_mod.
+int64_terms(p), the number of products of residues an int64 sum can
+take, is the one place the int64 bound is written.  check_memory is the
+one place an estimate is held against physical memory.
 """
 
 import math
+import os
 import random
 
 import numpy as np
@@ -94,6 +100,16 @@ def check_int64_sums(length, p):
                          f"{length} products")
 
 
+def check_memory(need, subject, what):
+    """Raise ValueError, saying that `subject` is too large, when `need`
+    bytes, the estimate of what `what` allocates, exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{subject} is too large: {what} need about "
+                         f"{need / 2**30:,.1f} GiB, more than the "
+                         f"{have / 2**30:,.1f} GiB of physical memory")
+
+
 def matmul_mod(a, b, p):
     """Exact a @ b mod p.
 
@@ -128,8 +144,7 @@ def _eliminate_columns(stack, p):
         raise ValueError("the column loop needs a C-contiguous stack")
     flat = stack.reshape(nb * m, n)          # a view: row b*m + i is row i of b
     free = np.ones(nb * m, dtype=bool)       # rows that are no pivot row yet
-    where = np.empty((nb, n), dtype=np.int64)
-    where.fill(-1)
+    where = np.full((nb, n), -1, dtype=np.int64)
     members = np.arange(nb)
     step = max(1, _UPDATE_CELLS // max(n, 1))  # rows rewritten per update slice
     left = nb * min(m, n)
@@ -194,55 +209,55 @@ def _panel_width(n, p):
     return min(_PANEL, math.isqrt(n), int64_terms(p))
 
 
-def _eliminate_dense(rows, p):
-    """In-place rref of a modest block; returns (reduced rows, pivot cols).
+def _eliminate_panels(stack, p):
+    """_eliminate_columns by panels of _panel_width(n, p) columns, if that is not 0.
 
-    Panel elimination (Dumas-Giorgi-Pernet, "Dense linear algebra over
-    word-size prime fields", ACM TOMS 2008): the column loop runs only on
-    a panel of _panel_width columns of the rows that are not pivots yet.
-    The k pivot rows R it picks, with pivot columns pc, become
-    N = A[R, pc]^-1 A[R, :], and every other row x becomes x - x[pc] N,
-    one matmul_mod per panel.
+    Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
+    ACM TOMS 2008: the column loop runs on one panel of the rows that are no
+    pivot rows yet.  A member's pivot rows R, at columns pc, become
+    N = A[R, pc]^-1 A[R, :], and each other row x becomes x - x[pc] N.  A
+    member with fewer than k pivots, k the most that any has in the panel,
+    pads R with zero rows and x[pc] with zeros, so one column loop on the
+    (B, k, n) pivot rows and a matmul_mod per slice of rows serve the stack.
     """
-    m, n = rows.shape
+    nb, m, n = stack.shape
     width = _panel_width(n, p)
     if not width:
-        where = _eliminate_columns(rows[None], p)[0]
-        pivots = (where >= 0).nonzero()[0]
-        return rows[where[pivots]], pivots.tolist()
-    pivots = []
-    r = 0
+        return _eliminate_columns(stack, p)
+    where = np.full((nb, n), -1, dtype=np.int64)
+    free = np.ones((nb, m, 1), dtype=bool)          # rows that are no pivot row yet
+    at = np.arange(nb)[:, None, None]
     for start in range(0, n, width):
-        if r == m:
+        if not free.any():
             break
-        where = _eliminate_columns(rows[None, r:, start:start + width].copy(), p)[0]
-        found = (where >= 0).nonzero()[0]
-        k = found.size
-        if not k:
+        found = _eliminate_columns(stack[:, :, start:start + width] * free, p)
+        b, c = (found >= 0).nonzero()       # by member, then by column
+        if not b.size:
             continue
-        pc = (start + found).tolist()
-        picked = (r + where[found]).tolist()
-        # [A[R, pc] | I] reduces to [I | A[R, pc]^-1], its row j pivoting at j
-        square = np.hstack([rows[np.ix_(picked, pc)], np.eye(k, dtype=np.int64)])
-        inverse = square[_eliminate_columns(square[None], p)[0, :k], k:]
-        new_rows = matmul_mod(inverse, rows[picked], p)
-        # the picked rows take places r..r+k-1; the rows there take theirs
-        block = range(r, r + k)
-        rows[sorted(set(picked) - set(block))] = rows[sorted(set(block) - set(picked))]
-        rows[r:r + k] = new_rows
-        # rows zero at pc are zero on the whole panel, and every row is
-        # zero left of it except the earlier pivot rows, where new_rows is
-        coef = rows[:, pc]
-        coef[r:r + k] = 0
-        hit = np.flatnonzero(coef.any(axis=1))
-        if hit.size:
-            tail = rows[hit, start:]
-            tail -= matmul_mod(coef[hit], new_rows[:, start:], p)
+        r = found[b, c]
+        count = np.bincount(b, minlength=nb)
+        ok = np.arange(count.max()) < count[:, None]    # each member's pivots, padded
+        rows, cols = np.zeros((2,) + ok.shape, dtype=np.int64)
+        rows[ok], cols[ok] = r, c
+        # N is the rref of the rows R, whose pivots are at pc
+        new = stack[at[:, :, 0], rows, start:] * ok[:, :, None]
+        held = _eliminate_columns(new, p)
+        new = new[at[:, :, 0], held[at[:, :, 0], cols]]
+        coef = stack[at, np.arange(m)[:, None], start + cols[:, None]] * ok[:, None]
+        coef[b, r] = 0
+        stack[b, r, start:] = new[ok]
+        free[b, r] = False
+        where[b, start + c] = r
+        # N is zero left of start, and a row zero at pc keeps its values
+        hit = coef.any(axis=(0, 2)).nonzero()[0]
+        step = max(1, _UPDATE_CELLS // (nb * (n - start)))
+        for s in range(0, hit.size, step):
+            i = hit[s:s + step]
+            tail = stack[:, i, start:]
+            tail -= matmul_mod(coef[:, i], new, p)
             tail %= p
-            rows[hit, start:] = tail
-        pivots.extend(pc)
-        r += k
-    return rows[:r], pivots
+            stack[:, i, start:] = tail
+    return where
 
 
 def rref_mod(a, p):
@@ -262,9 +277,12 @@ def rref_mod(a, p):
         coeff = chunk[:, pivots]
         if coeff.any():
             chunk = (chunk - matmul_mod(coeff, basis, p)) % p
-        new_rows, new_pivots = _eliminate_dense(chunk[chunk.any(axis=1)], p)
+        chunk = chunk[chunk.any(axis=1)]
+        where = _eliminate_panels(chunk[None], p)[0]
+        new_pivots = (where >= 0).nonzero()[0].tolist()
         if not new_pivots:
             continue
+        new_rows = chunk[where[new_pivots]]
         coeff = basis[:, new_pivots]
         if coeff.any():
             basis = (basis - matmul_mod(coeff, new_rows, p)) % p
@@ -307,9 +325,9 @@ def kernel_mod(a, p):
 
 def stack_kernels(stack, p):
     """kernel_mod of each member of a C-contiguous (B, m, n) int64 stack
-    of residues mod p, by one column loop that reduces it in place."""
+    of residues mod p, by one stacked elimination that reduces it in place."""
     kernels = []
-    for rows, where in zip(stack, _eliminate_columns(stack, p)):
+    for rows, where in zip(stack, _eliminate_panels(stack, p)):
         pivots = (where >= 0).nonzero()[0]
         kernels.append(_kernel_basis(rows[where[pivots]], pivots, stack.shape[2], p))
     return kernels
@@ -348,37 +366,35 @@ def system_kernels(build, keys, p):
     p, at row r and column c.  A system with more than w + _SLACK rows is
     folded as it is built by a CountSketch S (Clarkson-Woodruff, STOC
     2013), drawn once per shape by _sketch: row r of A is added, times
-    mult[r], to row bucket[r] of the (w + _SLACK) x w block S A, and only
-    that block is kept.  Folded blocks at most _PANEL wide are eliminated
-    as one stack per width (stack_kernels), wider ones by kernel_mod.
-    ker A lies in ker S A, so an empty kernel of S A is that of A.  A
-    nonempty one, K, is kept once A K^T = 0 holds on the triplets built
-    again; otherwise the answer is kernel_mod(A).  Both give the one basis
-    kernel_mod returns, which depends on the kernel alone.  A system with
-    at most w + _SLACK rows goes to kernel_mod as it is.
+    mult[r], to row bucket[r] of the (w + _SLACK) x w block S A.  The
+    blocks of one shape join one stack, and stack_kernels eliminates it
+    whenever it is full and at the end.  ker A lies in ker S A, so an
+    empty kernel of S A is that of A; a nonempty one, K, is kept once
+    A K^T = 0 holds on the triplets built again.  Only then, and for a
+    system of at most w + _SLACK rows, is A itself solved by kernel_mod.
+    All give the one basis kernel_mod returns, a function of the kernel.
     """
-    out, stacks, sketches, folded = {}, {}, {}, []
+    out, stacks, folded = {}, {}, []
     for key in keys:
         rows, cols, vals, (m, w) = build(key)
         if m <= w + _SLACK:
             out[key] = kernel_mod(_fold(rows, cols, vals, (m, w), p), p)
         else:
-            if (m, w) not in sketches:
-                sketches[m, w] = _sketch(m, w, p)
-            bucket, mult = sketches[m, w]
-            block = _fold(bucket[rows], cols, vals % p * mult[rows], (w + _SLACK, w), p)
+            if (m, w) not in stacks:
+                # pages no fold is written to stay unmapped
+                room = system_kernels_bytes(w, len(keys)) // (16 * (w + _SLACK) * w)
+                stacks[m, w] = [], _sketch(m, w, p), np.empty(
+                    (min(room, len(keys)), w + _SLACK, w), dtype=np.int64)
+            done, (bucket, mult), stack = stacks[m, w]
+            stack[len(done)] = _fold(bucket[rows], cols, vals % p * mult[rows],
+                                     (w + _SLACK, w), p)
+            done.append(key)
             folded.append(key)
-            if w > _PANEL:
-                out[key] = kernel_mod(block, p)
-            else:
-                if w not in stacks:
-                    # room for every key; pages no block is written to stay unmapped
-                    stacks[w] = [], np.empty((len(keys), w + _SLACK, w), dtype=np.int64)
-                done, stack = stacks[w]
-                stack[len(done)] = block
-                done.append(key)
+            if len(done) == len(stack):
+                out.update(zip(done, stack_kernels(stack, p)))
+                done.clear()
         del rows, cols, vals      # so that no two systems are alive at once
-    for done, stack in stacks.values():
+    for done, _, stack in stacks.values():
         out.update(zip(done, stack_kernels(stack[:len(done)], p)))
     for key in folded:
         if len(out[key]):
@@ -392,10 +408,10 @@ def system_kernels(build, keys, p):
 
 def system_kernels_bytes(w, count):
     """About the peak bytes system_kernels allocates beyond the triplets for
-    `count` systems of at most w unknowns: the elimination of a wide fold
-    holds about 8 blocks of (w + _SLACK) x w entries, the narrow folds wait
-    in stacks of at most count x (_PANEL + _SLACK) x _PANEL entries, and
-    their batched elimination rewrites two slices of _UPDATE_CELLS entries."""
+    `count` systems of at most w unknowns: 8 blocks of (w + _SLACK) x w, count
+    of (_PANEL + _SLACK) x _PANEL and two slices of _UPDATE_CELLS entries.  A
+    stack of w-wide folds holds as many as this has room for at two blocks
+    each, one for the fold and one for the panels and pivot rows it adds."""
     folded = 8 * (w + _SLACK) * w
     narrow = count * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
     return 8 * (folded + narrow)

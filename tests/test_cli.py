@@ -184,6 +184,8 @@ def test_usage_errors_exit_two(capsys):
                  ["eis-dim", "--p", "3", "--k", "4"],
                  ["verify-hecke", "--p", "37", "--q", "37"],
                  ["verify-hecke", "--p", "7", "--q", "4"],
+                 ["verify-hecke", "--p", "5", "--q", "0"],
+                 ["verify-manin", "--p", "5", "--csv", "x.csv"],
                  ["lvalues", "--p", "5", "--k", "10"],
                  ["eis-dim", "--p", "2147483647", "--k", "12"],
                  ["eis-dim", "--p", "4294967291", "--k", "12"],
@@ -218,6 +220,19 @@ def test_eis_dim_names_the_int64_bound(capsys):
         main(["eis-dim", "--p", "2147483647", "--k", "12"])
     assert err.value.code == 2
     assert "too large for exact int64 sums of 6 products" in capsys.readouterr().err
+
+
+def test_eis_dim_refuses_an_overlarge_weight_before_allocating(capsys, monkeypatch):
+    # k passes check_weight, and one (k - 1)^2 block alone is 29 TiB; np.eye
+    # made the first such block, so make any call to it fail loudly instead
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye called before the size guard")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    with pytest.raises(SystemExit) as err:
+        main(["eis-dim", "--p", "1000003", "--k", "2000000"])
+    assert err.value.code == 2
+    assert "k = 2000000 is too large" in capsys.readouterr().err
 
 
 def test_report_without_checks_does_not_pass():

@@ -471,15 +471,14 @@ FOLDED_BUILDS = ([(p, 1) for p in range(47, 132) if is_prime(p)]
                          ids=[f"{p}" if n == 1 else f"{p}-{n}" for p, n in FOLDED_BUILDS])
 def test_compressed_build_matches_per_character_kernels(p, n, monkeypatch):
     # every character system of these builds is tall, narrow ones (n = 1,
-    # p <= 131) and wide ones alike, so the build folds all of them and,
-    # with its fixed sketches, never falls back: kernel_mod only sees the
-    # (w + 16) x w folds.  The unfolded kernels must give the same module
+    # p <= 131) and wide ones alike, so the build folds all of them into
+    # stacks and, with its fixed sketches, never falls back: kernel_mod sees
+    # none of them.  The unfolded kernels must give the same module
     solved = []
     monkeypatch.setattr(exactlin, "kernel_mod",
                         lambda a, p: solved.append(a.shape) or kernel_mod(a, p))
     module = CycloModule(p, n)
-    assert all(m == w + exactlin._SLACK for m, w in solved), solved
-    assert bool(solved) == (p > 131 or n > 1)
+    assert not solved, solved
     monkeypatch.undo()
     monkeypatch.setattr(cyclok2, "system_kernels", per_character_kernels)
     plain = CycloModule(p, n)

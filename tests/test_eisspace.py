@@ -1,5 +1,7 @@
 """Level-one symbol spaces, parabolic quotients, Eisenstein eigenspaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,20 @@ def test_level1_input_validation():
             level1_space(bad, 37)
     with pytest.raises(ValueError):
         level1_space(10, 5)   # k = 2p
+
+
+def test_level_one_size_estimate_covers_the_measured_peak():
+    # the guard refuses a weight on this estimate, so it must not undercount;
+    # the caches are cleared so that the pipeline allocates all it needs
+    eisspace._quotient_setup.cache_clear()
+    eisspace.hecke_matrix_dual.cache_clear()
+    tracemalloc.start()
+    try:
+        eis_eigenspace(691, 346)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eisspace._setup_bytes(346) >= peak
 
 
 def test_level1_weight_two_is_empty():

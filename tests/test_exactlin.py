@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclomanin import exactlin
 from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_mod,
-                                 _panel_width, bernoulli_over_k_mod,
+                                 _kernel_basis, _panel_width, bernoulli_over_k_mod,
                                  check_int64_sums, check_prime,
                                  coords_in_rowspace, int64_terms, inv_mod,
                                  irregular_weights, is_irregular_pair, is_prime,
@@ -211,15 +211,26 @@ def low_rank(rng, m, n, rank, p):
 @pytest.mark.parametrize("p", (2, 7, 1000000007))
 def test_stack_kernels_match_kernel_mod(p):
     rng = np.random.default_rng(p % 1000)
-    dims = []
-    for m, n in ((1, 1), (5, 3), (3, 9), (40, _PANEL), (70, _PANEL + 5), (300, _PANEL)):
-        # members of every rank, so they pivot in different rows and columns;
-        # the last stack is tall enough for the update to take several slices
+    stacks = []
+    for m, n in ((1, 1), (5, 3), (3, 9), (40, _PANEL), (70, _PANEL + 5), (300, _PANEL),
+                 (70, 2 * _PANEL + 1), (300, 3 * _PANEL)):
+        # members of every rank, so they pivot in different rows and columns
+        # and, past _PANEL columns, find different numbers of pivots in a
+        # panel; the tall stacks take several slices per update
         ranks = sorted({0, 1, min(m, n) // 2, min(m, n)})
-        stack = np.stack([low_rank(rng, m, n, r, p) for r in ranks * 2])
+        stacks.append(np.stack([low_rank(rng, m, n, r, p) for r in ranks * 2]))
+    # a zero member, one with no pivot in its second panel and full-rank
+    # ones: their pivots fall in different panels
+    stacks.append(np.stack([panel_matrix(layout, 70, 2 * _PANEL + 1, p, rng)
+                            for layout in ("zero", "empty-panel", "random", "random")]))
+    dims = []
+    for stack in stacks:
         got = stack_kernels(stack % p, p)
         for member, ker in zip(stack, got):
             assert np.array_equal(ker, kernel_mod(member, p))
+            # and the kernel of the column-loop oracle's rref
+            oracle = _kernel_basis(*loop_rref(member, p), member.shape[1], p)
+            assert np.array_equal(ker, oracle)
             dims.append(len(ker))
     assert 0 in dims and max(dims) > 1
 
@@ -300,8 +311,7 @@ def test_system_kernels_fall_back_past_a_rank_deficient_compressor(monkeypatch):
     refused = [a.shape for a in tall if a.shape[1] - len(kernel_mod(a, p)) > 2]
     assert len(refused) >= 7
     short = [a.shape for a in systems if not is_tall(a)]
-    wide = [(w + _SLACK, w) for _, w in (a.shape for a in tall) if w > _PANEL]
-    assert Counter(solved) == Counter(refused + short + wide)
+    assert Counter(solved) == Counter(refused + short)
 
 
 def test_fold_sums_residues_exactly_or_refuses():
