@@ -10,7 +10,11 @@ Every elimination runs one routine, `_eliminate_panels`, over a stack of
 matrices; a single matrix is a stack of one.  On blocks at most _PANEL
 columns wide it is the column loop `_eliminate_columns`; on wider ones it
 runs that loop one panel of columns at a time and clears each panel from
-the other rows of the whole stack with batched matmul_mod products.
+the other rows of the whole stack with one batched product per slice of
+rows.  Both loops delay reduction mod p (Dumas-Giorgi-Pernet): an entry
+is reduced when it is about to be read, when the next update could take
+it past int64_terms(p) products of residues, and on exit, so every
+returned entry is a residue and no int64 sum overflows.
 `system_kernels` solves many tall sparse systems, each given by its (row,
 column, value) triplets.  Each is folded as it is built, by one
 np.bincount, into a CountSketch S A with _SLACK more rows than A has
@@ -110,8 +114,8 @@ def check_memory(need, subject, what):
                          f"{have / 2**30:,.1f} GiB of physical memory")
 
 
-def matmul_mod(a, b, p):
-    """Exact a @ b mod p.
+def _product(a, b, p):
+    """Exact a @ b of residues mod p, unreduced, as int64.
 
     Routes through float64 BLAS when the dot products fit below 2^53;
     otherwise falls back to int64, and raises ValueError when they could
@@ -121,10 +125,14 @@ def matmul_mod(a, b, p):
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 < _F64_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % p
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     check_int64_sums(inner, p)
-    return (a @ b) % p
+    return a @ b
+
+
+def matmul_mod(a, b, p):
+    """Exact a @ b mod p, by _product."""
+    return _product(a, b, p) % p
 
 
 def _eliminate_columns(stack, p):
@@ -138,6 +146,14 @@ def _eliminate_columns(stack, p):
     A step pivots, in one column, every member with a nonzero in a row
     that is not a pivot row yet; it rewrites only the rows of those
     members that are nonzero in that column.
+
+    Reduction mod p is delayed (Dumas-Giorgi-Pernet): a step reduces
+    column c, which it searches and multiplies by, and the pivot rows,
+    which it scales; the rows it rewrites take x - x[c] top unreduced.
+    Each such update takes at most (p - 1)^2 from an entry, so an entry
+    stays exact in int64 through int64_terms(p) - 1 of them, after which,
+    and on exit, the whole stack is reduced.  Where int64_terms(p) is
+    below 2, each step reduces the rows it rewrites instead.
     """
     nb, m, n = stack.shape
     if not stack.flags.c_contiguous:
@@ -147,8 +163,12 @@ def _eliminate_columns(stack, p):
     where = np.full((nb, n), -1, dtype=np.int64)
     members = np.arange(nb)
     step = max(1, _UPDATE_CELLS // max(n, 1))  # rows rewritten per update slice
+    delay = int64_terms(p) - 1               # updates an entry takes unreduced
+    pending = 0                              # steps since the stack was reduced
     left = nb * min(m, n)
     for c in range(n if left else 0):
+        if pending:
+            flat[:, c] %= p
         nz = flat[:, c] != 0
         cand = nz & free
         i = cand.reshape(nb, m).argmax(axis=1)
@@ -166,6 +186,8 @@ def _eliminate_columns(stack, p):
                 nz.reshape(nb, m)[~ok] = False
             f = i + m * b
         top = flat.take(f, axis=0)
+        if pending:
+            top %= p
         if nb == 1:
             top *= inv_mod(top[0, c], p)
         else:
@@ -188,11 +210,19 @@ def _eliminate_columns(stack, p):
                 rows -= top
             else:
                 rows -= rows[:, c, None] * top
-            rows %= p
+            if delay < 1:
+                rows %= p
             flat[at] = rows
+        if hit.size and delay >= 1:
+            pending += 1
+            if pending == delay:
+                flat %= p
+                pending = 0
         left -= b.size
         if not left:
             break
+    if pending:
+        flat %= p
     return where
 
 
@@ -218,7 +248,10 @@ def _eliminate_panels(stack, p):
     N = A[R, pc]^-1 A[R, :], and each other row x becomes x - x[pc] N.  A
     member with fewer than k pivots, k the most that any has in the panel,
     pads R with zero rows and x[pc] with zeros, so one column loop on the
-    (B, k, n) pivot rows and a matmul_mod per slice of rows serve the stack.
+    (B, k, n) pivot rows and one product per slice of rows serve the stack.
+    The stack holds residues between panels.  x[pc] N, unreduced, sums k
+    <= int64_terms(p) products of residues, so x - x[pc] N is exact in
+    int64 and takes one reduction mod p per entry and panel.
     """
     nb, m, n = stack.shape
     width = _panel_width(n, p)
@@ -248,15 +281,13 @@ def _eliminate_panels(stack, p):
         stack[b, r, start:] = new[ok]
         free[b, r] = False
         where[b, start + c] = r
-        # N is zero left of start, and a row zero at pc keeps its values
-        hit = coef.any(axis=(0, 2)).nonzero()[0]
+        # N is zero left of start, and a row zero at pc keeps its values: every
+        # row x takes x - x[pc] N, exact in int64, and then one reduction
         step = max(1, _UPDATE_CELLS // (nb * (n - start)))
-        for s in range(0, hit.size, step):
-            i = hit[s:s + step]
-            tail = stack[:, i, start:]
-            tail -= matmul_mod(coef[:, i], new, p)
+        for s in range(0, m, step):
+            tail = stack[:, s:s + step, start:]
+            tail -= _product(coef[:, s:s + step], new, p)
             tail %= p
-            stack[:, i, start:] = tail
     return where
 
 
@@ -368,10 +399,11 @@ def system_kernels(build, keys, p):
     2013), drawn once per shape by _sketch: row r of A is added, times
     mult[r], to row bucket[r] of the (w + _SLACK) x w block S A.  The
     blocks of one shape join one stack, and stack_kernels eliminates it
-    whenever it is full and at the end.  ker A lies in ker S A, so an
-    empty kernel of S A is that of A; a nonempty one, K, is kept once
-    A K^T = 0 holds on the triplets built again.  Only then, and for a
-    system of at most w + _SLACK rows, is A itself solved by kernel_mod.
+    whenever it is full and, if it holds any, at the end.  ker A lies in
+    ker S A, so an empty kernel of S A is that of A; a nonempty one, K, is
+    kept once A K^T = 0 holds on the triplets built again.  Only then, and
+    for a system of at most w + _SLACK rows, is A itself solved by
+    kernel_mod.
     All give the one basis kernel_mod returns, a function of the kernel.
     """
     out, stacks, folded = {}, {}, []
@@ -395,7 +427,8 @@ def system_kernels(build, keys, p):
                 done.clear()
         del rows, cols, vals      # so that no two systems are alive at once
     for done, _, stack in stacks.values():
-        out.update(zip(done, stack_kernels(stack[:len(done)], p)))
+        if done:
+            out.update(zip(done, stack_kernels(stack[:len(done)], p)))
     for key in folded:
         if len(out[key]):
             rows, cols, vals, (m, w) = build(key)

@@ -155,6 +155,14 @@ def panel_matrix(layout, m, n, p, rng):
     Columns outside `new` are combinations of new columns to their left.
     """
     width = _panel_width(n, p) or n
+    if layout == "growth":
+        # L U, with L unit lower and U unit upper triangular and -1 off the
+        # diagonal: each column step scales a pivot row that is p - 1 right
+        # of its pivot and takes it p - 1 times from every row below, so
+        # each unreduced update there adds the most it can, (p - 1)^2
+        low = np.tril(np.full((m, n), -1), -1) + np.eye(m, n, dtype=np.int64)
+        up = np.triu(np.full((n, n), -1), 1) + np.eye(n, dtype=np.int64)
+        return low @ up % p
     if layout == "zero":
         new = []
     elif layout == "random":
@@ -170,9 +178,14 @@ def panel_matrix(layout, m, n, p, rng):
     return base @ mix + p * rng.integers(-2, 3, size=(m, n))
 
 
-@pytest.mark.parametrize("p", (2, 7, 1000000007))
+# int64_terms(p) is 1 at 2147483647, 4 at 1000000007 and _PANEL - 1 at
+# 385699439, where a narrow block is reduced once inside its column loop
+EDGE_PRIMES = (1000000007, 2147483647, 385699439)
+
+
+@pytest.mark.parametrize("p", (2, 7) + EDGE_PRIMES)
 @pytest.mark.parametrize("n", (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1))
-@pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges"))
+@pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges", "growth"))
 def test_rref_matches_the_column_loop(layout, n, p):
     rng = np.random.default_rng(n + p)
     for m in (n // 2, 3 * n):
@@ -200,6 +213,8 @@ def test_panels_narrow_to_keep_the_update_exact():
     assert _panel_width(10**6, 7) == _PANEL
     assert _panel_width(2 * _PANEL + 1, 1000000007) == 4   # 4 (p-1)^2 < 2^62
     assert _panel_width(2 * _PANEL + 1, 3037000493) == 0   # (p-1)^2 >= 2^62
+    assert [int64_terms(p) for p in EDGE_PRIMES] == [4, 1, _PANEL - 1]
+    assert all(is_prime(p) for p in EDGE_PRIMES)
 
 
 def low_rank(rng, m, n, rank, p):
@@ -208,7 +223,7 @@ def low_rank(rng, m, n, rank, p):
             + p * rng.integers(-2, 3, size=(m, n)))
 
 
-@pytest.mark.parametrize("p", (2, 7, 1000000007))
+@pytest.mark.parametrize("p", (2, 7) + EDGE_PRIMES)
 def test_stack_kernels_match_kernel_mod(p):
     rng = np.random.default_rng(p % 1000)
     stacks = []
@@ -223,6 +238,10 @@ def test_stack_kernels_match_kernel_mod(p):
     # ones: their pivots fall in different panels
     stacks.append(np.stack([panel_matrix(layout, 70, 2 * _PANEL + 1, p, rng)
                             for layout in ("zero", "empty-panel", "random", "random")]))
+    # the worst-case growth, narrow and wide, next to members that pivot elsewhere
+    for m, n in ((3 * _PANEL, _PANEL), (_PANEL // 2, _PANEL), (70, 2 * _PANEL + 1)):
+        stacks.append(np.stack([panel_matrix(layout, m, n, p, rng)
+                                for layout in ("growth", "zero", "random", "growth")]))
     dims = []
     for stack in stacks:
         got = stack_kernels(stack % p, p)
@@ -281,6 +300,27 @@ def test_system_kernels_match_kernel_mod(p):
         # a system is built again only to certify a nonempty kernel of its fold
         assert built[key] == 1 + (is_tall(a) and len(ker) > 0), key
     assert sum(len(k) > 0 for k in got.values()) >= 8
+
+
+def test_system_kernels_skip_a_stack_with_no_pending_folds(monkeypatch):
+    # room for two folds a stack: each width's four tall systems fill theirs
+    # twice, and none is left for the pass at the end
+    p = 101
+    systems = narrow_systems(np.random.default_rng(5), p)
+    spy = exactlin.stack_kernels
+    sizes = []
+
+    def counting(stack, p):
+        sizes.append(len(stack))
+        return spy(stack, p)
+
+    monkeypatch.setattr(exactlin, "system_kernels_bytes",
+                        lambda w, count: 2 * 16 * (w + _SLACK) * w)
+    monkeypatch.setattr(exactlin, "stack_kernels", counting)
+    got = system_kernels(lambda key: coordinate_form(systems[key]), range(len(systems)), p)
+    for key, a in enumerate(systems):
+        assert np.array_equal(got[key], kernel_mod(a, p)), key
+    assert sizes == [2] * 8
 
 
 def test_system_kernels_fall_back_past_a_rank_deficient_compressor(monkeypatch):
