@@ -5,7 +5,9 @@ killed by 1+S and 1+U+U^2 (S order 4, U order 3).  Boundary symbols come
 from Gamma_infty-invariant functionals; the parabolic quotient carries
 conjugation and Hecke operators, whose simultaneous eigenspace with
 T_q-eigenvalue 1+q^(k-1) detects the Eisenstein congruences of irregular
-pairs.
+pairs.  The Hecke operators act on the level-one basis rows alone, by
+lvalues.act_rows over Merel's coset set, and reach the quotient in level
+coordinates; no (k-1)^2 Hecke matrix is formed.
 """
 
 from functools import lru_cache
@@ -15,7 +17,7 @@ import numpy as np
 from .exactlin import (check_memory, check_prime, check_weight, coords_in_rowspace,
                        kernel_mod, matmul_mod, quotient_map, rref_mod)
 from .hecke import merel_set
-from .lvalues import S, dual_act_matrix, gamma_infty_invariants
+from .lvalues import S, act_rows, dual_act_matrix, gamma_infty_invariants
 
 U = (0, -1, 1, -1)    # order-3 generator; S*U = T
 
@@ -45,19 +47,23 @@ def level1_space(k, p):
 
 @lru_cache(maxsize=8)
 def hecke_matrix_dual(m, r, p):
-    """Matrix of T_m on V_r coordinates: v -> sum over H_m of v|delta^T.
+    """Matrix of T_m on level-one coordinates at weight r + 2: row i holds
+    the coordinates of lref[i]|T_m over the level rref lref of _quotient_setup.
 
     Cached per (m, r, p), so the array is read-only.
 
-    The coset family H_m is stated for the row-vector symbol action; the
-    dual action here reads polynomials through the adjugate, which is the
-    S-conjugated presentation, and S delta S^-1 = adj(delta^T).  Summing
-    dual_act_matrix over the transposes is exactly that conjugated family,
-    the one that preserves the level-one relations.
+    On V_r, v|T_m is the sum over H_m of v|delta^T.  The coset family H_m
+    is stated for the row-vector symbol action; the dual action here reads
+    polynomials through the adjugate, which is the S-conjugated
+    presentation, and S delta S^-1 = adj(delta^T).  In row form v|delta^T
+    is v @ poly_act_matrix(delta), so the image rows are one act_rows call
+    over H_m: exactly the conjugated family, the one that preserves the
+    level-one relations.
     """
-    total = sum(dual_act_matrix((a, c, b, d), r, p) for a, b, c, d in merel_set(m)) % p
-    total.flags.writeable = False
-    return total
+    lref, lpiv = _quotient_setup(r + 2, p)[:2]
+    out = _level_coords(act_rows(lref, merel_set(m), r, p), lref, lpiv, p)
+    out.flags.writeable = False
+    return out
 
 
 def conj_matrix(r, p):
@@ -100,9 +106,9 @@ def _quotient_setup(k, p):
     return lref, tuple(lpiv), quot, free, (nl, len(bpiv), len(free))
 
 
-def _op_on_level(mat, lref, lpiv, p):
-    """Restrict an operator matrix on V_r to level coordinates (rows act)."""
-    image = matmul_mod(lref, mat.T, p)
+def _level_coords(image, lref, lpiv, p):
+    """Coordinates over lref of the rows lref|op of an operator; raises
+    unless the operator preserves the level-one relation space."""
     coords, ok = coords_in_rowspace(lref, lpiv, image, p)
     if not ok.all():
         raise RuntimeError("operator must preserve the level-one relation space")
@@ -148,14 +154,15 @@ def _eisenstein_space(p, k, primes):
     r = k - 2
     lref, lpiv, quot, free, dims = _quotient_setup(k, p)
     eye = np.eye(dims[2], dtype=np.int64)
-    conj_q = _quotient_op(conj_matrix(r, p), lref, lpiv, quot, free, p)
+    conj = _level_coords(matmul_mod(lref, conj_matrix(r, p).T, p), lref, lpiv, p)
+    conj_q = _quotient_op(conj, quot, free, p)
     if not np.array_equal(matmul_mod(conj_q, conj_q, p), eye):
         raise RuntimeError("conjugation must be an involution on the quotient")
     space = _intersect_eigen(eye, conj_q, 1, p)
     tmats, eigenvalues = {}, {}
     for q in primes:
         eigenvalues[q] = (1 + pow(q, k - 1, p)) % p
-        tmats[q] = _quotient_op(hecke_matrix_dual(q, r, p), lref, lpiv, quot, free, p)
+        tmats[q] = _quotient_op(hecke_matrix_dual(q, r, p), quot, free, p)
         space = _intersect_eigen(space, tmats[q], eigenvalues[q], p)
     return space, tmats, eigenvalues, dims
 
@@ -170,15 +177,13 @@ def eis_eigenspace(p, k, primes=(2,)):
     return EisReport(p, k, primes, nl, nb, space.shape[0], eigenvalues)
 
 
-def _quotient_op(mat, lref, lpiv, quot, free, p):
-    """Push an operator on V_r down to the parabolic quotient coordinates.
+def _quotient_op(on_level, quot, free, p):
+    """Push an operator in level coordinates down to the parabolic quotient.
 
     Level coordinates transform by on_level.T (column form); the section
     embeds quotient coordinates at the free positions; quot.T projects back.
     """
-    on_level = _op_on_level(mat, lref, lpiv, p)
-    a_level = on_level.T % p
-    return matmul_mod(quot.T, a_level[:, free], p)
+    return matmul_mod(quot.T, on_level.T[:, free], p)
 
 
 def _intersect_eigen(space_rows, op, ev, p):

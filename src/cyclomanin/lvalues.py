@@ -3,7 +3,11 @@
 W_r is homogeneous degree-r polynomials in X, Y over F_p with the
 right action (F|s)(X,Y) = F((X,Y)s') through the adjugate s' of s.
 V_r is its dual, coordinatized in the basis {lambda_i} dual to
-{(-1)^i X^{r-i} Y^i}; vectors of both are plain residue arrays.  The
+{(-1)^i X^{r-i} Y^i}; vectors of both are plain residue arrays.  Each
+substitution is a product of two triangular factors: poly_act_matrix
+builds it whole, as the level-one eliminations need, and act_rows applies
+a sum of them to a block of rows through the Pascal matrix, as the
+level-one Hecke operators need, without any (r+1)^2 matrix.  The
 L-values attached to a functional rho on the cyclotomic symbol module
 are plain finite sums here.  The pairings, the boundary-symbol L-values
 lam - lam|S and the T_p fixed-point check are in tests/oracles.py.
@@ -47,49 +51,106 @@ def _first_column(pow_a, pow_c, r, p):
     return out
 
 
-def poly_act_matrix(sigma, r, p):
-    """Matrix A with coeffs(F|sigma) = A @ coeffs(F), for a prime p.
+def _substitution(sigma, p):
+    """The two triangular factors of sigma's substitution, and its swaps.
 
-    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  The image of
-    X^j Y^(r-j) is (alpha X + gamma Y)^j (beta X + delta Y)^(r-j), where
-    (alpha, beta, gamma, delta) = (d, -b, -c, a) is the adjugate.  With
+    The image of X^j Y^(r-j) is (alpha X + gamma Y)^j (beta X + delta Y)^(r-j),
+    where (alpha, beta, gamma, delta) = (d, -b, -c, a) is the adjugate.  With
     alpha invertible, the substitution factors into the upper triangular
-    first-column map X^j Y^(r-j) -> (alpha X + gamma Y)^j Y^(r-j) times
-    the lower triangular shear X^j Y^(r-j) -> X^j (beta' X + delta' Y)^(r-j),
-    beta' = beta/alpha and delta' = delta - gamma beta/alpha; the shear
-    is the first-column map of (delta', beta') with X and Y exchanged.
-    When alpha = 0, exchanging X and Y on the source side (a column
-    reversal) brings beta to its place, and on the target side (a row
-    reversal) gamma; the zero matrix acts as F -> F(0, 0).
+    first-column map U(alpha, gamma): X^j Y^(r-j) -> (alpha X + gamma Y)^j Y^(r-j)
+    times the lower triangular shear X^j Y^(r-j) -> X^j (beta' X + delta' Y)^(r-j),
+    beta' = beta/alpha and delta' = delta - gamma beta/alpha; the shear is
+    J U(delta', beta') J, J the reversal that exchanges X and Y.  When
+    alpha = 0, exchanging X and Y on the source side (a column reversal)
+    brings beta to its place, and on the target side (a row reversal)
+    gamma.  Only sigma = 0 mod p leaves alpha = 0; its factors U(0, 0) and
+    J U(0, 0) J multiply to F -> F(0, 0).
 
-    Accepts exactly the p at which r//2 + 1 products of residues sum
-    below 2^62, and raises ValueError at larger p.  The product's inner
-    sums have r + 1 terms, so where those could reach 2^62 they are
-    taken in two halves of at most r//2 + 1 terms, each reduced mod p.
+    Returns (alpha, gamma, delta', beta', swap_source, swap_target).
     """
-    check_int64_sums(r // 2 + 1, p)
     a, b, c, d = sigma
     alpha, beta, gamma, delta = d % p, -b % p, -c % p, a % p
-    swap_source = not alpha and (beta or not gamma)
+    swap_source = alpha == 0 and (beta != 0 or gamma == 0)
     if swap_source:
         alpha, beta, gamma, delta = beta, alpha, delta, gamma
     swap_target = not alpha
     if swap_target:
         alpha, beta, gamma, delta = gamma, delta, alpha, beta
-    if not alpha:
-        return np.full((r + 1, r + 1), int(r == 0), dtype=np.int64)
-    beta = beta * inv_mod(alpha, p) % p
-    delta = (delta - gamma * beta) % p
+    if alpha:
+        beta = beta * inv_mod(alpha, p) % p
+        delta = (delta - gamma * beta) % p
+    return alpha, gamma, delta, beta, swap_source, swap_target
+
+
+def _matmul_halves(a, b, r, p):
+    """a @ b mod p over r + 1 inner terms.  Where those sums could reach
+    2^62 they are taken in two halves of at most r//2 + 1 terms, each
+    reduced mod p, so this is exact wherever check_int64_sums(r//2 + 1, p)
+    passes."""
+    if r + 1 <= int64_terms(p):
+        return matmul_mod(a, b, p)
+    h = r // 2 + 1
+    return (matmul_mod(a[..., :h], b[:h], p) + matmul_mod(a[..., h:], b[h:], p)) % p
+
+
+def poly_act_matrix(sigma, r, p):
+    """Matrix A with coeffs(F|sigma) = A @ coeffs(F), for a prime p.
+
+    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  A is the
+    product of the two triangular factors of _substitution, each built
+    whole, reversed in its rows and columns as the swaps say.
+
+    Accepts exactly the p at which r//2 + 1 products of residues sum
+    below 2^62, and raises ValueError at larger p.
+    """
+    check_int64_sums(r // 2 + 1, p)
+    alpha, gamma, delta, beta, swap_source, swap_target = _substitution(sigma, p)
     pa, pc, pd, pb = power_table([alpha, gamma, delta, beta], r, p)
     first = _first_column(pa, pc, r, p)
     shear = _first_column(pd, pb, r, p)[::-1, ::-1]
-    if r + 1 <= int64_terms(p):
-        out = matmul_mod(first, shear, p)
-    else:
-        h = r // 2 + 1
-        out = (matmul_mod(first[:, :h], shear[:h], p)
-               + matmul_mod(first[:, h:], shear[h:], p)) % p
+    out = _matmul_halves(first, shear, r, p)
     return out[::-1 if swap_target else 1, ::-1 if swap_source else 1]
+
+
+def _rows_times_factor(block, a, c, r, p):
+    # block[s] @ U(a[s], c[s]) mod p for each member s of a (B, n, r + 1)
+    # stack, by the factorisation of U stated in act_rows
+    inv_c = np.array([inv_mod(x, p) if x else 1 for x in c], dtype=np.int64)
+    block = block * power_table(a * inv_c % p, r, p)[:, None, :] % p
+    live = c != 0
+    if live.any():
+        part = block[live]
+        prod = _matmul_halves(part.reshape(-1, r + 1), binom_table(r, p).T, r, p)
+        block[live] = prod.reshape(part.shape) * power_table(c[live], r, p)[:, None, :] % p
+    return block
+
+
+def act_rows(rows, sigmas, r, p):
+    """rows @ sum of poly_act_matrix(sigma, r, p) over sigmas, mod p.
+
+    Forms no (r+1)^2 action matrix: each triangular factor U(a, c) of
+    _substitution is D(a^i c^-i) P D(c^j) when c != 0, with P the cached
+    Pascal matrix binom_table(r, p).T and D diagonal, and D(a^i) when
+    c = 0, so a block of rows costs two diagonal scalings and one product
+    with P per factor.  The sigmas go in chunks whose stacked rows hold
+    at most (r+1)^2 entries, or one sigma where the rows hold more; a
+    chunk costs one product with P a factor.  Accepts the same (r, p) as
+    poly_act_matrix.
+    """
+    check_int64_sums(r // 2 + 1, p)
+    rows = np.asarray(rows, dtype=np.int64) % p
+    both = np.stack([rows, rows[:, ::-1]])
+    subs = np.array([_substitution(s, p) for s in sigmas], dtype=np.int64).reshape(-1, 6)
+    out = np.zeros_like(rows)
+    chunk = max(1, (r + 1) // max(rows.shape[0], 1))
+    for at in range(0, len(subs), chunk):
+        alpha, gamma, delta, beta, swap_source, swap_target = subs[at:at + chunk].T
+        block = _rows_times_factor(both[swap_target], alpha, gamma, r, p)
+        block = _rows_times_factor(block[..., ::-1], delta, beta, r, p)[..., ::-1]
+        swap_source = swap_source.astype(bool)
+        block[swap_source] = block[swap_source, :, ::-1]
+        out = (out + block.sum(axis=0)) % p
+    return out
 
 
 def dual_act_matrix(sigma, r, p):
@@ -108,8 +169,10 @@ def gamma_infty_invariants(r, p):
     """Basis rows of V_r^{Gamma_infty}, in lambda coordinates: the fixed
     space of the dual T-action.
 
-    Dimension 1 (spanned by lambda_r) for r < p, and 2 (lambda_r and
-    lambda_{p-1}) for p <= r < 2p.
+    Dimension 1 (spanned by lambda_r) for r < p, and 2 for p <= r < 2p:
+    spanned by lambda_{p-1} and lambda_r for r < 2p - 1, and at r = 2p - 1
+    by lambda_{p-1} + lambda_{2p-2} and lambda_{2p-1}, where lambda_{p-1}
+    alone is not invariant.
     """
     if r >= 2 * p:
         raise ValueError("invariants computed only for r < 2p")

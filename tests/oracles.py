@@ -4,14 +4,15 @@ Coefficient modules, the Manin relation space and boundary symbols; the
 closed-form and matrix Hecke operators; eigenprojectors of M_{p,1}; the
 weight-r pairings and boundary L-values, on residue arrays with r and p
 passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
-coordinates); and the level-one q-expansions.
+coordinates); the level-one Hecke operators summed as full V_r matrices;
+and the level-one q-expansions.
 """
 
 import numpy as np
 
 from cyclomanin.exactlin import (bernoulli_over_k_mod, coords_in_rowspace, inv_mod,
                                  kernel_mod, matmul_mod, omega_pow, rref_mod, unit_group)
-from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply
+from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
 from cyclomanin.lvalues import S, T, binom_table, dual_act_matrix
 from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X
 
@@ -217,6 +218,21 @@ def tp_fixed_point(r, p):
     sigmas = [(p, 0, 0, 1)] + [(1, j, 0, p) for j in range(p)]
     total = sum(matmul_mod(dual_act_matrix(s, r, p), lam, p) for s in sigmas) % p
     return np.array_equal(total, lam)
+
+
+def hecke_dual_sum(m, r, p):
+    """Matrix of T_m on V_r coordinates: v -> sum over H_m of v|delta^T,
+    summed as one full (r+1)^2 dual_act_matrix per delta in H_m."""
+    return sum(dual_act_matrix((a, c, b, d), r, p) for a, b, c, d in merel_set(m)) % p
+
+
+def op_on_level(mat, lref, lpiv, p):
+    """Restrict an operator matrix on V_r to the coordinates over the level
+    rref lref (rows act); raises if it does not preserve their span."""
+    coords, ok = coords_in_rowspace(lref, lpiv, matmul_mod(lref, mat.T, p), p)
+    if not ok.all():
+        raise ValueError("operator must preserve the level-one relation space")
+    return coords
 
 
 def eisenstein_q_coeffs(k, p, nmax):

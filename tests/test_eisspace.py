@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cyclomanin import eisspace
-from cyclomanin.eisspace import (_op_on_level, _quotient_setup, boundary_space,
-                                 conj_matrix, eis_eigenspace, eis_eigenvector,
-                                 hecke_matrix_dual, level1_space)
+from cyclomanin.eisspace import (_quotient_setup, boundary_space, conj_matrix,
+                                 eis_eigenspace, eis_eigenvector, hecke_matrix_dual,
+                                 level1_space)
 from cyclomanin.exactlin import rref_mod
-from oracles import eisenstein_q_coeffs
+from oracles import eisenstein_q_coeffs, hecke_dual_sum, op_on_level
 
 
 def test_level1_dimensions_match_classical_multiplicities():
@@ -56,11 +56,24 @@ def test_hecke_preserves_level_space_and_commutes():
     p, k = 37, 12
     r = k - 2
     lref, lpiv = rref_mod(level1_space(k, p), p)
+    assert np.array_equal(lref, _quotient_setup(k, p)[0])
     mats = {}
     for m in (2, 3, 4, 5, 6, 7):
-        mats[m] = _op_on_level(hecke_matrix_dual(m, r, p), lref, lpiv, p)
+        mats[m] = hecke_matrix_dual(m, r, p)
+        assert np.array_equal(mats[m], op_on_level(hecke_dual_sum(m, r, p), lref, lpiv, p))
     for a, b in ((2, 3), (2, 5), (3, 7), (5, 6)):
         assert np.array_equal(mats[a] @ mats[b] % p, mats[b] @ mats[a] % p)
+
+
+@pytest.mark.parametrize("p,k", ((7, 4), (37, 32), (691, 346)))
+def test_hecke_on_level_coordinates_matches_the_full_matrix_sum(p, k):
+    # hecke_matrix_dual acts on the level rows through act_rows; the oracle
+    # sums one full (k-1)^2 matrix per Merel matrix and restricts the sum.
+    # At (7, 4), T_7 has terms with p | det, as the level_one workload has
+    lref, lpiv = _quotient_setup(k, p)[:2]
+    for m in (2, 3, 5, 7):
+        want = op_on_level(hecke_dual_sum(m, k - 2, p), lref, lpiv, p)
+        assert np.array_equal(hecke_matrix_dual(m, k - 2, p), want), m
 
 
 def test_weight_twelve_spectrum_is_tau_and_boundary():
@@ -74,7 +87,8 @@ def test_weight_twelve_spectrum_is_tau_and_boundary():
     space, tmats = eis_eigenvector(p, k, primes=(2, 3))
     assert space.shape[0] == 0
     for q, cusp in ((2, -24), (3, 252)):
-        lv = _op_on_level(hecke_matrix_dual(q, k - 2, p), lref, lpiv, p)
+        lv = hecke_matrix_dual(q, k - 2, p)
+        assert np.array_equal(lv, op_on_level(hecke_dual_sum(q, k - 2, p), lref, lpiv, p))
         eye = np.eye(lv.shape[0], dtype=np.int64)
         eis = (1 + pow(q, k - 1, p)) % p
         assert not np.array_equal(lv, lv[0, 0] * eye % p)

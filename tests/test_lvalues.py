@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomanin.cyclok2 import build_cyclo_module, rho_basis, xi_class
-from cyclomanin.exactlin import coords_in_rowspace, matmul_mod, rref_mod
-from cyclomanin.lvalues import (S, T, dual_act_matrix, gamma_infty_invariants,
+from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
+from cyclomanin.hecke import merel_set
+from cyclomanin.lvalues import (S, T, act_rows, dual_act_matrix, gamma_infty_invariants,
                                 l_values_from_rho, lvalue_identity_report,
                                 poly_act_matrix, twist_eigenvalue_identity)
 from oracles import boundary_lambda, pairing, perfect_pairing, tp_fixed_point
@@ -83,6 +84,81 @@ def test_poly_action_at_degenerate_matrices(p):
         for sigma in sigmas:
             got = poly_act_matrix(sigma, r, p).tolist()
             assert got == exact_poly_act(sigma, r, p), (sigma, r)
+
+
+def summed_action(rows, sigmas, r, p, act=poly_act_matrix):
+    """rows @ (sum of act(sigma, r, p) over sigmas) mod p, in Python ints."""
+    total = np.zeros((r + 1, r + 1), dtype=object)
+    for sigma in sigmas:
+        total = total + np.array(act(sigma, r, p), dtype=object)
+    return (np.asarray(rows, dtype=object) @ total % p).astype(np.int64)
+
+
+def random_rows(n, r, p, seed=0):
+    return np.random.default_rng(seed).integers(0, p, (n, r + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(mats, max_size=8),
+       st.sampled_from([(0, 5), (1, 7), (3, 5), (6, 13), (12, 7), (30, 37)]),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_act_rows_matches_the_summed_matrices(sigmas, rp, n, seed):
+    r, p = rp
+    rows = random_rows(n, r, p, seed)
+    assert np.array_equal(act_rows(rows, sigmas, r, p), summed_action(rows, sigmas, r, p))
+
+
+def test_act_rows_where_p_divides_the_determinant():
+    # T_7 at p = 7, as the level_one case (7, 4) reaches it with S = (2,3,5,7);
+    # the terms (7, 0, 0, 1) and (1, 0, 0, 7) act through one swap each
+    for r in (0, 1, 2, 5, 12):
+        rows = random_rows(4, r, 7)
+        want = summed_action(rows, merel_set(7), r, 7)
+        assert np.array_equal(act_rows(rows, merel_set(7), r, 7), want), r
+        assert np.array_equal(want, summed_action(rows, merel_set(7), r, 7, exact_poly_act))
+
+
+def test_act_rows_at_the_zero_matrix_and_weight_zero():
+    p = 13
+    zeros = [(0, 0, 0, 0), (p, 0, 0, 2 * p)]
+    for r in (1, 2, 6):
+        rows = random_rows(3, r, p)
+        assert not act_rows(rows, zeros, r, p).any()
+        assert np.array_equal(act_rows(rows, zeros + [(1, 0, 0, 1)], r, p), rows)
+    # on constants every sigma, the zero matrix too, acts as the identity
+    rows = random_rows(3, 0, p)
+    sigmas = zeros + [(2, 1, 1, 1), (0, 1, -1, 0), (5, 0, 0, 0)]
+    assert np.array_equal(act_rows(rows, sigmas, 0, p), len(sigmas) * rows % p)
+    assert act_rows(np.zeros((0, 5), dtype=np.int64), sigmas, 4, p).shape == (0, 5)
+    assert not act_rows(rows, [], 0, p).any()
+
+
+@pytest.mark.parametrize("m", (4, 6))
+def test_act_rows_at_composite_hecke_indices(m):
+    # the Merel sets that test_hecke_preserves_level_space_and_commutes uses;
+    # 3 rows of weight 10 put several Merel matrices in one chunk
+    for r, p in ((10, 37), (30, 37), (5, 13)):
+        rows = random_rows(3, r, p, m)
+        want = summed_action(rows, merel_set(m), r, p)
+        assert np.array_equal(act_rows(rows, merel_set(m), r, p), want), (r, p)
+
+
+@pytest.mark.parametrize("p", (1000000007, 2147483647, 3037000493))
+def test_act_rows_is_exact_or_refused_at_large_p(p):
+    # accepted exactly where poly_act_matrix is: r//2 + 1 products summing
+    # below 2^62; where r + 1 of them could not, the Pascal products split
+    sigmas = list(merel_set(6)) + [(3, 5, 7, 12), (0, 1, -1, 0), (2, p - 1, 5, 0),
+                                   (0, 0, 0, 0)]
+    for r in range(10):
+        rows = random_rows(3, r, p, r)
+        try:
+            check_int64_sums(r // 2 + 1, p)
+        except ValueError:
+            with pytest.raises(ValueError, match="too large"):
+                act_rows(rows, sigmas, r, p)
+            continue
+        want = summed_action(rows, sigmas, r, p, exact_poly_act)
+        assert np.array_equal(act_rows(rows, sigmas, r, p), want), r
 
 
 def test_weight_one_action_by_hand():
@@ -169,11 +245,20 @@ def test_invariant_dimensions(r, p, dim):
 
 
 def test_invariants_span_the_expected_lambdas():
-    for r, p in ((6, 5), (12, 7)):
-        ref, piv = rref_mod(gamma_infty_invariants(r, p), p)
-        for i in (r, p - 1):
-            _, ok = coords_in_rowspace(ref, piv, np.eye(r + 1, dtype=np.int64)[i], p)
-            assert ok.all()
+    # the rref of the invariants, as {coordinate: value} per row: lambda_r
+    # below p, then lambda_(p-1) and lambda_r, except at r = 2p - 1, where
+    # lambda_(p-1) alone is not invariant
+    for p in (5, 7, 11, 13):
+        for r in range(2 * p):
+            if r < p:
+                want = [{r: 1}]
+            elif r < 2 * p - 1:
+                want = [{p - 1: 1}, {r: 1}]
+            else:
+                want = [{p - 1: 1, 2 * p - 2: 1}, {r: 1}]
+            ref, _ = rref_mod(gamma_infty_invariants(r, p), p)
+            got = [{int(i): int(row[i]) for i in np.flatnonzero(row)} for row in ref]
+            assert got == want, (p, r)
     with pytest.raises(ValueError):
         gamma_infty_invariants(10, 5)
 
