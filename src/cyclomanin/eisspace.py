@@ -1,13 +1,17 @@
 """Level-one weight-k mod-p modular symbols and Eisenstein eigenspaces.
 
 A level-one symbol with V_{k-2} coefficients is a single dual vector v
-killed by 1+S and 1+U+U^2 (S order 4, U order 3).  Boundary symbols come
-from Gamma_infty-invariant functionals; the parabolic quotient carries
-conjugation and Hecke operators, whose simultaneous eigenspace with
-T_q-eigenvalue 1+q^(k-1) detects the Eisenstein congruences of irregular
-pairs.  The Hecke operators act on the level-one basis rows alone, by
-lvalues.act_rows over Merel's coset set, and reach the quotient in level
-coordinates; no (k-1)^2 Hecke matrix is formed.
+killed by 1+S and 1+U+U^2 (S order 4, U order 3).  On V_{k-2}, S is the
+signed reversal lambda_i -> (-1)^i lambda_{k-2-i}, so ker(1+S) is written
+down and only 1+U+U^2 is eliminated on it; U and conjugation are the only
+operators built as whole matrices.  Boundary symbols lam - lam|S come
+from the Gamma_infty-invariant functionals, whose closed form needs no
+elimination either.  The parabolic quotient carries conjugation and Hecke
+operators, whose simultaneous eigenspace with T_q-eigenvalue 1+q^(k-1)
+detects the Eisenstein congruences of irregular pairs.  The Hecke
+operators act on the level-one basis rows alone, by lvalues.act_rows over
+Merel's coset set, and reach the quotient in level coordinates; no
+(k-1)^2 Hecke matrix is formed.
 """
 
 from functools import lru_cache
@@ -17,7 +21,7 @@ import numpy as np
 from .exactlin import (check_memory, check_prime, check_weight, coords_in_rowspace,
                        kernel_mod, matmul_mod, quotient_map, rref_mod)
 from .hecke import merel_set
-from .lvalues import S, act_rows, dual_act_matrix, gamma_infty_invariants
+from .lvalues import act_rows, dual_act_matrix, gamma_infty_invariants
 
 U = (0, -1, 1, -1)    # order-3 generator; S*U = T
 
@@ -32,17 +36,36 @@ def _setup_bytes(k):
 def level1_space(k, p):
     """Basis rows of {v in V_{k-2} : v + v|S = 0, v + v|U + v|U^2 = 0}.
 
+    With r = k - 2 even, S acts as the signed reversal lambda_i ->
+    (-1)^i lambda_{r-i}, so ker(1+S) needs no elimination: it is
+    parametrised by v_i for i < r/2, with v_{r-i} = -(-1)^i v_i, and by
+    v_{r/2} when r/2 is odd (it is 0 when r/2 is even).  Only 1+U+U^2 is
+    eliminated, as an (r+1) x about r/2 system on that basis, whose
+    columns (1+U+U^2)b are combinations of the columns of U's matrix plus
+    one product with it.  Any basis of the space may come back; callers
+    read it through rref_mod or its row count.
+
     A k whose pipeline would exceed physical memory (_setup_bytes) raises
     ValueError before anything is allocated.
     """
     check_weight(k, p)
     check_memory(_setup_bytes(k), f"k = {k}", "the level-one (k - 1)^2 blocks")
     r = k - 2
-    eye = np.eye(r + 1, dtype=np.int64)
-    bs = dual_act_matrix(S, r, p)
+    half = r // 2
+    free = np.arange(half + half % 2)         # v_i for i < r/2, and v_{r/2} if r/2 is odd
+    mirror, sign = r - free[:half], np.where(free[:half] % 2, 1, p - 1)
+    basis = np.zeros((r + 1, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[mirror, np.arange(half)] = sign
     bu = dual_act_matrix(U, r, p)
-    stacked = np.vstack([(bs + eye) % p, (matmul_mod(bu, bu, p) + bu + eye) % p])
-    return kernel_mod(stacked, p)
+    once = bu[:, free]                        # U's matrix times each basis column
+    once[:, :half] += bu[:, mirror] * sign
+    once %= p
+    coeff = kernel_mod((basis + once + matmul_mod(bu, once, p)) % p, p)
+    out = np.zeros((coeff.shape[0], r + 1), dtype=np.int64)
+    out[:, free] = coeff
+    out[:, mirror] = coeff[:, :half] * sign % p
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -72,14 +95,17 @@ def conj_matrix(r, p):
 
 
 def boundary_space(k, p):
-    """Basis rows of the boundary subspace of level1_space.
+    """Basis rows of the boundary subspace of level1_space, in rref.
 
-    Spanned by lam - lam|S over the Gamma_infty-invariant lam;
-    _quotient_setup checks that it lies in the level-one space.
+    Spanned by lam - lam|S over the Gamma_infty-invariant lam.  At even
+    r = k - 2, S acts as lambda_i -> (-1)^i lambda_{r-i}, and the invariants
+    are supported on the even indices p - 1 and r, where that sign is 1:
+    each row is lam minus its reversal, with no matrix formed.
+    _quotient_setup checks that they lie in the level-one space.
     """
     check_weight(k, p)
     inv = gamma_infty_invariants(k - 2, p)
-    return rref_mod((inv - matmul_mod(inv, dual_act_matrix(S, k - 2, p).T, p)) % p, p)[0]
+    return rref_mod((inv - inv[:, ::-1]) % p, p)[0]
 
 
 @lru_cache(maxsize=8)

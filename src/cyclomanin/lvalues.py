@@ -5,12 +5,14 @@ right action (F|s)(X,Y) = F((X,Y)s') through the adjugate s' of s.
 V_r is its dual, coordinatized in the basis {lambda_i} dual to
 {(-1)^i X^{r-i} Y^i}; vectors of both are plain residue arrays.  Each
 substitution is a product of two triangular factors: poly_act_matrix
-builds it whole, as the level-one eliminations need, and act_rows applies
-a sum of them to a block of rows through the Pascal matrix, as the
-level-one Hecke operators need, without any (r+1)^2 matrix.  The
-L-values attached to a functional rho on the cyclotomic symbol module
-are plain finite sums here.  The pairings, the boundary-symbol L-values
-lam - lam|S and the T_p fixed-point check are in tests/oracles.py.
+builds it whole, as the level-one U and conjugation matrices need, and
+act_rows applies a sum of them to a block of rows through the Pascal
+matrix, as the level-one Hecke operators need, without any (r+1)^2
+matrix.  The Gamma_infty invariants have a closed form and are written
+down, not eliminated.  The L-values attached to a functional rho on the
+cyclotomic symbol module are plain finite sums here.  The pairings, the
+boundary-symbol L-values lam - lam|S, the T_p fixed-point check and the
+elimination the invariants replace are in tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -20,12 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
 from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
-                       inv_mod, kernel_mod, matmul_mod, power_table)
+                       inv_mod, matmul_mod, power_table)
 from .reports import CheckReport
-
-S = (0, -1, 1, 0)     # order-4 rotation
-T = (1, 1, 0, 1)      # upper unipotent generator of Gamma_infty
-
 
 @lru_cache(maxsize=4)
 def binom_table(n, p):
@@ -167,18 +165,26 @@ def dual_act_matrix(sigma, r, p):
 
 def gamma_infty_invariants(r, p):
     """Basis rows of V_r^{Gamma_infty}, in lambda coordinates: the fixed
-    space of the dual T-action.
+    space of the dual T-action, T = (1 1; 0 1).
 
     Dimension 1 (spanned by lambda_r) for r < p, and 2 for p <= r < 2p:
     spanned by lambda_{p-1} and lambda_r for r < 2p - 1, and at r = 2p - 1
     by lambda_{p-1} + lambda_{2p-2} and lambda_{2p-1}, where lambda_{p-1}
-    alone is not invariant.
+    alone is not invariant.  These rows are returned as stated, with no
+    elimination: the j-th coordinate of lam|T - lam is the sum over m < j
+    of (-1)^(j-m) C(j, m) lam_m, and by Lucas' theorem C(j, p - 1) = 0 mod p
+    for p <= j <= 2p - 2, while C(2p-1, p-1) = 1 and C(2p-1, 2p-2) = -1.
     """
     if r >= 2 * p:
         raise ValueError("invariants computed only for r < 2p")
-    mat = dual_act_matrix(T, r, p)
-    mat[np.arange(r + 1), np.arange(r + 1)] -= 1
-    return kernel_mod(mat % p, p)
+    if r < p:
+        supports = [[r]]
+    else:
+        supports = [[p - 1, 2 * p - 2] if r == 2 * p - 1 else [p - 1], [r]]
+    out = np.zeros((len(supports), r + 1), dtype=np.int64)
+    for row, support in zip(out, supports):
+        row[support] = 1
+    return out
 
 
 class LValueVector:

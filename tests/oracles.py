@@ -4,17 +4,23 @@ Coefficient modules, the Manin relation space and boundary symbols; the
 closed-form and matrix Hecke operators; eigenprojectors of M_{p,1}; the
 weight-r pairings and boundary L-values, on residue arrays with r and p
 passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
-coordinates); the level-one Hecke operators summed as full V_r matrices;
-and the level-one q-expansions.
+coordinates); the Gamma_infty invariants, boundary rows and level-one
+space by elimination over full V_r matrices; the level-one Hecke
+operators summed as full V_r matrices; and the level-one q-expansions.
 """
 
 import numpy as np
 
-from cyclomanin.exactlin import (bernoulli_over_k_mod, coords_in_rowspace, inv_mod,
-                                 kernel_mod, matmul_mod, omega_pow, rref_mod, unit_group)
+from cyclomanin.eisspace import U
+from cyclomanin.exactlin import (bernoulli_over_k_mod, check_weight, coords_in_rowspace,
+                                 inv_mod, kernel_mod, matmul_mod, omega_pow, rref_mod,
+                                 unit_group)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
-from cyclomanin.lvalues import S, T, binom_table, dual_act_matrix
+from cyclomanin.lvalues import binom_table, dual_act_matrix
 from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X
+
+S = (0, -1, 1, 0)     # order-4 rotation
+T = (1, 1, 0, 1)      # upper unipotent generator of Gamma_infty
 
 
 def trivial_coeffs(p, n=1):
@@ -218,6 +224,35 @@ def tp_fixed_point(r, p):
     sigmas = [(p, 0, 0, 1)] + [(1, j, 0, p) for j in range(p)]
     total = sum(matmul_mod(dual_act_matrix(s, r, p), lam, p) for s in sigmas) % p
     return np.array_equal(total, lam)
+
+
+def gamma_infty_kernel(r, p):
+    """V_r^{Gamma_infty} as the kernel of dual_act_matrix(T) - 1, the
+    elimination that lvalues.gamma_infty_invariants states in closed form."""
+    if r >= 2 * p:
+        raise ValueError("invariants computed only for r < 2p")
+    mat = dual_act_matrix(T, r, p)
+    mat[np.arange(r + 1), np.arange(r + 1)] -= 1
+    return kernel_mod(mat % p, p)
+
+
+def boundary_by_product(k, p):
+    """rref of lam - lam|S over the Gamma_infty kernel, with S applied as
+    its full dual_act_matrix."""
+    check_weight(k, p)
+    inv = gamma_infty_kernel(k - 2, p)
+    return rref_mod((inv - matmul_mod(inv, dual_act_matrix(S, k - 2, p).T, p)) % p, p)[0]
+
+
+def level1_by_kernel(k, p):
+    """Kernel of 1+S stacked on 1+U+U^2, both as full V_{k-2} matrices."""
+    check_weight(k, p)
+    r = k - 2
+    eye = np.eye(r + 1, dtype=np.int64)
+    bs = dual_act_matrix(S, r, p)
+    bu = dual_act_matrix(U, r, p)
+    stacked = np.vstack([(bs + eye) % p, (matmul_mod(bu, bu, p) + bu + eye) % p])
+    return kernel_mod(stacked, p)
 
 
 def hecke_dual_sum(m, r, p):

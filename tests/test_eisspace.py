@@ -10,7 +10,8 @@ from cyclomanin.eisspace import (_quotient_setup, boundary_space, conj_matrix,
                                  eis_eigenspace, eis_eigenvector, hecke_matrix_dual,
                                  level1_space)
 from cyclomanin.exactlin import rref_mod
-from oracles import eisenstein_q_coeffs, hecke_dual_sum, op_on_level
+from oracles import (boundary_by_product, eisenstein_q_coeffs, hecke_dual_sum,
+                     level1_by_kernel, op_on_level)
 
 
 def test_level1_dimensions_match_classical_multiplicities():
@@ -18,6 +19,17 @@ def test_level1_dimensions_match_classical_multiplicities():
     assert level1_space(4, 37).shape[0] == 1
     assert level1_space(12, 37).shape[0] == 3
     assert level1_space(32, 37).shape[0] == 5
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 37))
+def test_closed_forms_match_the_eliminations(p):
+    # boundary_space and the rref of level1_space, byte for byte, against
+    # the kernels of the full S, U and T matrices at every even weight
+    for k in range(2, 2 * p, 2):
+        got, want = boundary_space(k, p), boundary_by_product(k, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (p, k)
+        got, want = rref_mod(level1_space(k, p), p), rref_mod(level1_by_kernel(k, p), p)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0]), (p, k)
 
 
 def test_level1_input_validation():

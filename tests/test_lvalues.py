@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from cyclomanin.cyclok2 import build_cyclo_module, rho_basis, xi_class
 from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
 from cyclomanin.hecke import merel_set
-from cyclomanin.lvalues import (S, T, act_rows, dual_act_matrix, gamma_infty_invariants,
+from cyclomanin.lvalues import (act_rows, dual_act_matrix, gamma_infty_invariants,
                                 l_values_from_rho, lvalue_identity_report,
                                 poly_act_matrix, twist_eigenvalue_identity)
-from oracles import boundary_lambda, pairing, perfect_pairing, tp_fixed_point
+from oracles import (S, T, boundary_lambda, gamma_infty_kernel, pairing, perfect_pairing,
+                     tp_fixed_point)
 
 mats = st.tuples(*(st.integers(-6, 6) for _ in range(4)))
 
@@ -261,6 +262,26 @@ def test_invariants_span_the_expected_lambdas():
             assert got == want, (p, r)
     with pytest.raises(ValueError):
         gamma_infty_invariants(10, 5)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 37))
+def test_invariants_equal_the_kernel_of_t_minus_one(p):
+    # the closed form against the elimination it stands for, array for
+    # array rather than span for span, at every r < 2p, odd r included
+    for r in range(2 * p):
+        got, want = gamma_infty_invariants(r, p), gamma_infty_kernel(r, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (p, r)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 37))
+def test_s_acts_as_the_signed_reversal(p):
+    # coords(lambda_i|S) = (-1)^i lambda_(r-i): boundary_space and
+    # level1_space use this in place of S's matrix
+    for r in range(0, 2 * p, 2):
+        want = np.zeros((r + 1, r + 1), dtype=np.int64)
+        for i in range(r + 1):
+            want[r - i, i] = (-1) ** i % p
+        assert np.array_equal(dual_act_matrix(S, r, p), want), (p, r)
 
 
 def test_boundary_lvalues_are_plus_minus_one_at_the_ends():
