@@ -3,8 +3,8 @@
 A level-one symbol with V_{k-2} coefficients is a single dual vector v
 killed by 1+S and 1+U+U^2 (S order 4, U order 3).  On V_{k-2}, S is the
 signed reversal lambda_i -> (-1)^i lambda_{k-2-i}, so ker(1+S) is written
-down and only 1+U+U^2 is eliminated on it; U and conjugation are the only
-operators built as whole matrices.  Boundary symbols lam - lam|S come
+down and only 1+U+U^2 is eliminated on it; U is the only operator built
+as a whole matrix.  Boundary symbols lam - lam|S come
 from the Gamma_infty-invariant functionals, whose closed form needs no
 elimination either.  The parabolic quotient carries conjugation and Hecke
 operators, whose simultaneous eigenspace with T_q-eigenvalue 1+q^(k-1)
@@ -90,8 +90,10 @@ def hecke_matrix_dual(m, r, p):
 
 
 def conj_matrix(r, p):
-    """Complex conjugation on V_r, realized by iota = (-1 0; 0 1)."""
-    return dual_act_matrix((-1, 0, 0, 1), r, p)
+    """Complex conjugation on V_r, realized by iota = (-1 0; 0 1): iota
+    negates x, and the lambda basis reverses the monomials, so it acts as
+    the diagonal of signs (-1)^(r-i) at lambda_i, written down here."""
+    return np.diag(np.where((r - np.arange(r + 1)) % 2, p - 1, 1))
 
 
 def boundary_space(k, p):
@@ -180,7 +182,7 @@ def _eisenstein_space(p, k, primes):
     r = k - 2
     lref, lpiv, quot, free, dims = _quotient_setup(k, p)
     eye = np.eye(dims[2], dtype=np.int64)
-    conj = _level_coords(matmul_mod(lref, conj_matrix(r, p).T, p), lref, lpiv, p)
+    conj = _level_coords(lref * np.diag(conj_matrix(r, p)) % p, lref, lpiv, p)
     conj_q = _quotient_op(conj, quot, free, p)
     if not np.array_equal(matmul_mod(conj_q, conj_q, p), eye):
         raise RuntimeError("conjugation must be an involution on the quotient")

@@ -8,13 +8,13 @@ input rows were given in.
 
 Every elimination runs one routine, `_eliminate_panels`, over a stack of
 matrices; a single matrix is a stack of one.  On blocks at most _PANEL
-columns wide it is the column loop `_eliminate_columns`; on wider ones it
-runs that loop one panel of columns at a time and clears each panel from
-the other rows of the whole stack with one batched product per slice of
-rows.  Both loops delay reduction mod p (Dumas-Giorgi-Pernet): an entry
-is reduced when it is about to be read, when the next update could take
-it past int64_terms(p) products of residues, and on exit, so every
-returned entry is a residue and no int64 sum overflows.
+columns wide it is the column loop `_eliminate_columns`; wider ones go
+by panels of columns, each solved on a few candidate rows per member and
+cleared from the rest of the stack by one batched product per slice of
+rows.  Reduction mod p is delayed (Dumas-Giorgi-Pernet): an entry is
+reduced when it is read, when the next update could take it past
+int64_terms(p) products of residues, and on exit, so every returned
+entry is a residue and no int64 sum overflows.
 `system_kernels` solves many tall sparse systems, each given by its (row,
 column, value) triplets.  Each is folded as it is built, by one
 np.bincount, into a CountSketch S A with _SLACK more rows than A has
@@ -33,6 +33,7 @@ one place an estimate is held against physical memory.
 import math
 import os
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,13 +122,11 @@ def _product(a, b, p):
     otherwise falls back to int64, and raises ValueError when they could
     reach 2^62.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    inner = a.shape[-1]
+    inner = np.shape(a)[-1]
     if inner * (p - 1) ** 2 < _F64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return (np.asarray(a, np.float64) @ np.asarray(b, np.float64)).astype(np.int64)
     check_int64_sums(inner, p)
-    return a @ b
+    return np.asarray(a, np.int64) @ np.asarray(b, np.int64)
 
 
 def matmul_mod(a, b, p):
@@ -135,94 +134,80 @@ def matmul_mod(a, b, p):
     return _product(a, b, p) % p
 
 
-def _eliminate_columns(stack, p):
-    """In-place rref of every member of a C-contiguous (B, m, n) stack.
+def _inverses(x, p):
+    # x^(p-2) mod p, the inverse of each nonzero residue x, by squaring and
+    # exact as p^2 < 2^63; for p < 2^16 read from its table at all p residues
+    if p < 2**16 and x.size < p:
+        return _inverse_table(p)[x]
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
 
-    One loop over the columns serves the whole stack.  Returns where, of
-    shape (B, n): where[b, c] is the row of member b that holds its pivot
-    in column c, or -1 if c is not a pivot column of b.  Rows stay at
-    their input places, so member b's rref is its rows where[b, c] over
-    its pivot columns c, in that order, and its other rows end up zero.
-    A step pivots, in one column, every member with a nonzero in a row
-    that is not a pivot row yet; it rewrites only the rows of those
-    members that are nonzero in that column.
 
-    Reduction mod p is delayed (Dumas-Giorgi-Pernet): a step reduces
-    column c, which it searches and multiplies by, and the pivot rows,
-    which it scales; the rows it rewrites take x - x[c] top unreduced.
-    Each such update takes at most (p - 1)^2 from an entry, so an entry
-    stays exact in int64 through int64_terms(p) - 1 of them, after which,
-    and on exit, the whole stack is reduced.  Where int64_terms(p) is
-    below 2, each step reduces the rows it rewrites instead.
+@lru_cache(maxsize=8)
+def _inverse_table(p):
+    table = _inverses(np.arange(p), p)
+    table.flags.writeable = False
+    return table
+
+
+def _eliminate_columns(stack, p, upto):
+    """In-place rref of each member of a (B, m, n) stack, pivoting only in
+    its first `upto` columns.
+
+    Returns where, (B, n): where[b, c] is the row of member b holding its
+    pivot in column c, or -1.  Rows stay in place, so member b's rref is
+    its rows where[b, c] over its pivot columns c, and its other rows end
+    up zero.  A step pivots every member with a nonzero in a row that is
+    no pivot row yet, scales those rows by one batched inverse, and takes
+    x - x[c] top from every row x, by slices of _UPDATE_CELLS entries.
+    Reduction is delayed: x - x[c] top takes at most (p - 1)^2 from an
+    entry, so the stack is reduced after int64_terms(p) - 1 steps and on
+    exit, and where that is below 1 each step reduces its rows.
     """
     nb, m, n = stack.shape
-    if not stack.flags.c_contiguous:
-        raise ValueError("the column loop needs a C-contiguous stack")
-    flat = stack.reshape(nb * m, n)          # a view: row b*m + i is row i of b
-    free = np.ones(nb * m, dtype=bool)       # rows that are no pivot row yet
     where = np.full((nb, n), -1, dtype=np.int64)
-    members = np.arange(nb)
-    step = max(1, _UPDATE_CELLS // max(n, 1))  # rows rewritten per update slice
-    delay = int64_terms(p) - 1               # updates an entry takes unreduced
-    pending = 0                              # steps since the stack was reduced
-    left = nb * min(m, n)
-    for c in range(n if left else 0):
-        if pending:
-            flat[:, c] %= p
-        nz = flat[:, c] != 0
-        cand = nz & free
-        i = cand.reshape(nb, m).argmax(axis=1)
-        b, f = members, i
-        if nb == 1:
-            if not cand[i[0]]:
-                continue
-        else:
-            ok = cand[i + m * members]
-            if not ok.all():
-                if not ok.any():
-                    continue
-                b = ok.nonzero()[0]
-                i = i[b]
-                nz.reshape(nb, m)[~ok] = False
-            f = i + m * b
-        top = flat.take(f, axis=0)
-        if pending:
-            top %= p
-        if nb == 1:
-            top *= inv_mod(top[0, c], p)
-        else:
-            top *= np.array([[inv_mod(v, p)] for v in top[:, c].tolist()])
+    free = np.ones((nb, m), dtype=bool)          # rows that are no pivot row yet
+    every = np.arange(nb)
+    step = max(1, _UPDATE_CELLS // max(nb * n, 1))  # rows of each member per slice
+    delay = int64_terms(p) - 1
+    pending = 0                                  # steps since the stack was reduced
+    left = nb * min(m, upto)
+    for c in range(upto if left else 0):
+        col = stack[:, :, c] % p if pending else stack[:, :, c]
+        cand = (col != 0) & free
+        i = cand.argmax(axis=1)
+        b = cand[every, i].nonzero()[0]
+        if not b.size:
+            continue
+        i = i[b]
+        top = stack[b, i] % p if pending else stack[b, i]
+        top *= _inverses(top[:, c], p)[:, None]
         top %= p
-        flat[f] = top
-        free[f] = False
-        nz[f] = False
+        free[b, i] = False
         where[b, c] = i
-        if nb > 1:
-            lead = np.zeros((nb, n), dtype=np.int64)
-            lead[b] = top
-        hit = nz.nonzero()[0]
-        for start in range(0, hit.size, step):
-            at = hit[start:start + step]
-            rows = flat.take(at, axis=0)
-            if nb > 1:
-                top = lead.take(at // m, axis=0)
-                top *= rows[:, c, None]
-                rows -= top
-            else:
-                rows -= rows[:, c, None] * top
+        lead = top[:, None, c:]             # a free row is zero left of c
+        if b.size < nb:
+            lead = np.zeros((nb, 1, n - c), dtype=np.int64)
+            lead[b] = top[:, None, c:]
+        for s in range(0, m, step):
+            rows = stack[:, s:s + step, c:]
+            rows -= col[:, s:s + step, None] * lead
             if delay < 1:
                 rows %= p
-            flat[at] = rows
-        if hit.size and delay >= 1:
-            pending += 1
-            if pending == delay:
-                flat %= p
-                pending = 0
+        stack[b, i] = top                   # which the update took to 0
+        pending += 1
+        if pending == delay:
+            stack %= p
+            pending = 0
         left -= b.size
         if not left:
             break
     if pending:
-        flat %= p
+        stack %= p
     return where
 
 
@@ -230,9 +215,9 @@ def _panel_width(n, p):
     """Columns per panel of a block n wide; 0 means the column loop alone.
 
     A block no wider than _PANEL is not split.  Otherwise a panel of w
-    columns costs the loop about m*w per column and each trailing update
-    about m*n, so w is near sqrt(n), at most _PANEL.  The update sums w
-    products of residues, so at large p w is also at most int64_terms(p).
+    columns costs w loop steps on a 2w x 3w candidate block and an update
+    of about m*n, so w is near sqrt(n), at most _PANEL and, as the update
+    sums w products of residues, int64_terms(p).
     """
     if n <= _PANEL:
         return 0
@@ -240,54 +225,67 @@ def _panel_width(n, p):
 
 
 def _eliminate_panels(stack, p):
-    """_eliminate_columns by panels of _panel_width(n, p) columns, if that is not 0.
+    """_eliminate_columns by panels of w = _panel_width(n, p) columns, if not 0.
 
-    Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
-    ACM TOMS 2008: the column loop runs on one panel of the rows that are no
-    pivot rows yet.  A member's pivot rows R, at columns pc, become
-    N = A[R, pc]^-1 A[R, :], and each other row x becomes x - x[pc] N.  A
-    member with fewer than k pivots, k the most that any has in the panel,
-    pads R with zero rows and x[pc] with zeros, so one column loop on the
-    (B, k, n) pivot rows and one product per slice of rows serve the stack.
-    The stack holds residues between panels.  x[pc] N, unreduced, sums k
-    <= int64_terms(p) products of residues, so x - x[pc] N is exact in
-    int64 and takes one reduction mod p per entry and panel.
+    Per panel, the column loop runs on each member's first 2w live rows (no
+    pivot row yet, nonzero on the panel) with an identity appended, and
+    pivots on the panel alone.  The transform's rows T_R for the pivot rows
+    R give N = T_R A[R, start:], the rref of R with pivots at pc
+    (Jeannerod-Pernet-Storjohann, J. Symb. Comp. 2013), and every other row
+    x takes x - x[pc] N, one product per slice of rows for the whole stack.
+    If the candidates miss part of a panel's rank, a free row stays live,
+    and the panel is solved again on the live rows left.  The stack is
+    reduced before an update could sum more than int64_terms(p) products
+    into an entry, and on exit.
     """
     nb, m, n = stack.shape
     width = _panel_width(n, p)
     if not width:
-        return _eliminate_columns(stack, p)
+        return _eliminate_columns(stack, p, n)
     where = np.full((nb, n), -1, dtype=np.int64)
-    free = np.ones((nb, m, 1), dtype=bool)          # rows that are no pivot row yet
-    at = np.arange(nb)[:, None, None]
+    free = np.ones((nb, m), dtype=bool)          # rows that are no pivot row yet
+    at = np.arange(nb)[:, None]
+    used = 0                                     # products since the last reduction
     for start in range(0, n, width):
-        if not free.any():
-            break
-        found = _eliminate_columns(stack[:, :, start:start + width] * free, p)
-        b, c = (found >= 0).nonzero()       # by member, then by column
-        if not b.size:
-            continue
-        r = found[b, c]
-        count = np.bincount(b, minlength=nb)
-        ok = np.arange(count.max()) < count[:, None]    # each member's pivots, padded
-        rows, cols = np.zeros((2,) + ok.shape, dtype=np.int64)
-        rows[ok], cols[ok] = r, c
-        # N is the rref of the rows R, whose pivots are at pc
-        new = stack[at[:, :, 0], rows, start:] * ok[:, :, None]
-        held = _eliminate_columns(new, p)
-        new = new[at[:, :, 0], held[at[:, :, 0], cols]]
-        coef = stack[at, np.arange(m)[:, None], start + cols[:, None]] * ok[:, None]
-        coef[b, r] = 0
-        stack[b, r, start:] = new[ok]
-        free[b, r] = False
-        where[b, start + c] = r
-        # N is zero left of start, and a row zero at pc keeps its values: every
-        # row x takes x - x[pc] N, exact in int64, and then one reduction
-        step = max(1, _UPDATE_CELLS // (nb * (n - start)))
-        for s in range(0, m, step):
-            tail = stack[:, s:s + step, start:]
-            tail -= _product(coef[:, s:s + step], new, p)
-            tail %= p
+        more = free.any()
+        while more:
+            panel = stack[:, :, start:start + width] % p
+            w = panel.shape[2]
+            live = free & panel.any(axis=2)
+            cand = np.argsort(~live, axis=1, kind="stable")[:, :2 * width]
+            block = np.zeros(cand.shape + (w + cand.shape[1],), dtype=np.int64)
+            block[:, :, :w] = panel[at, cand] * live[at, cand, None]
+            block[:, :, w:] = np.eye(cand.shape[1], dtype=np.int64)
+            found = _eliminate_columns(block, p, w)[:, :w]
+            keep = np.flatnonzero((found >= 0).any(axis=0))   # pivot columns
+            if not keep.size:
+                break
+            found = found[:, keep]
+            piv = found >= 0
+            b, c = piv.nonzero()                # by member, then by column
+            rows = cand[at, found]
+            trans = block[at[:, :, None], found[:, :, None], w + found[:, None]]
+            trans *= piv[:, :, None] & piv[:, None]
+            new = stack[at, rows, start:]
+            new %= p
+            new = (_product(trans, new, p) % p).astype(np.float64)   # N, float64 once
+            r = rows[b, c]
+            panel = panel[:, :, keep]
+            panel[b, r] = 0
+            if used + len(keep) > int64_terms(p):
+                stack %= p
+                used = 0
+            used += len(keep)
+            step = max(1, _UPDATE_CELLS // (nb * (n - start)))
+            for s in range(0, m, step):
+                stack[:, s:s + step, start:] -= _product(panel[:, s:s + step], new, p)
+            stack[b, r, start:] = new[b, c]
+            free[b, r] = False
+            where[b, start + keep[c]] = r
+            more = ((live.sum(axis=1) > 2 * width)
+                    & (where[:, start:start + w] < 0).any(axis=1)).any()
+    if used:
+        stack %= p
     return where
 
 
@@ -346,7 +344,7 @@ def _kernel_basis(rref, pivots, ncols, p):
     if not len(basis):
         return np.zeros((0, ncols), dtype=np.int64)
     lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
-    return basis * np.array([inv_mod(v, p) for v in lead])[:, None] % p
+    return basis * _inverses(lead, p)[:, None] % p
 
 
 def kernel_mod(a, p):
@@ -355,8 +353,8 @@ def kernel_mod(a, p):
 
 
 def stack_kernels(stack, p):
-    """kernel_mod of each member of a C-contiguous (B, m, n) int64 stack
-    of residues mod p, by one stacked elimination that reduces it in place."""
+    """kernel_mod of each member of a (B, m, n) int64 stack of residues
+    mod p, by one stacked elimination that reduces it in place."""
     kernels = []
     for rows, where in zip(stack, _eliminate_panels(stack, p)):
         pivots = (where >= 0).nonzero()[0]
@@ -444,7 +442,9 @@ def system_kernels_bytes(w, count):
     `count` systems of at most w unknowns: 8 blocks of (w + _SLACK) x w, count
     of (_PANEL + _SLACK) x _PANEL and two slices of _UPDATE_CELLS entries.  A
     stack of w-wide folds holds as many as this has room for at two blocks
-    each, one for the fold and one for the panels and pivot rows it adds."""
+    each: the fold, and less than a block for what a panel v wide adds when
+    w > _PANEL: the panel's (w + _SLACK) x v, the 2v x 3v candidate block,
+    and v x w each for the pivot rows, N and N in float64."""
     folded = 8 * (w + _SLACK) * w
     narrow = count * (_PANEL + _SLACK) * _PANEL + 2 * _UPDATE_CELLS
     return 8 * (folded + narrow)

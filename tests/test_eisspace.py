@@ -10,6 +10,7 @@ from cyclomanin.eisspace import (_quotient_setup, boundary_space, conj_matrix,
                                  eis_eigenspace, eis_eigenvector, hecke_matrix_dual,
                                  level1_space)
 from cyclomanin.exactlin import rref_mod
+from cyclomanin.lvalues import dual_act_matrix
 from oracles import (boundary_by_product, eisenstein_q_coeffs, hecke_dual_sum,
                      level1_by_kernel, op_on_level)
 
@@ -62,6 +63,15 @@ def test_conj_is_an_involution():
     for r, p in ((10, 37), (2, 5), (16, 17)):
         c = conj_matrix(r, p)
         assert np.array_equal(c @ c % p, np.eye(r + 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 37))
+def test_conj_is_the_dual_action_of_iota(p):
+    # the written-down diagonal against the whole dual_act_matrix, at every
+    # r < 2p, odd r included
+    for r in range(2 * p):
+        got, want = conj_matrix(r, p), dual_act_matrix((-1, 0, 0, 1), r, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (p, r)
 
 
 def test_hecke_preserves_level_space_and_commutes():

@@ -163,6 +163,14 @@ def panel_matrix(layout, m, n, p, rng):
         low = np.tril(np.full((m, n), -1), -1) + np.eye(m, n, dtype=np.int64)
         up = np.triu(np.full((n, n), -1), 1) + np.eye(n, dtype=np.int64)
         return low @ up % p
+    if layout == "miss":
+        # the first 2w rows are rank one on each panel, so the first 2w live
+        # rows miss most of a panel's rank, which the rows below them carry
+        top = min(m, 2 * width)
+        a = rng.integers(0, p, size=(m, n))
+        scale = np.repeat(rng.integers(1, p, size=(top, -(-n // width))), width, axis=1)
+        a[:top] = scale[:, :n] * rng.integers(1, p, size=n)
+        return a
     if layout == "zero":
         new = []
     elif layout == "random":
@@ -185,7 +193,8 @@ EDGE_PRIMES = (1000000007, 2147483647, 385699439)
 
 @pytest.mark.parametrize("p", (2, 7) + EDGE_PRIMES)
 @pytest.mark.parametrize("n", (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1))
-@pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges", "growth"))
+@pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges", "growth",
+                                    "miss"))
 def test_rref_matches_the_column_loop(layout, n, p):
     rng = np.random.default_rng(n + p)
     for m in (n // 2, 3 * n):
@@ -242,6 +251,12 @@ def test_stack_kernels_match_kernel_mod(p):
     for m, n in ((3 * _PANEL, _PANEL), (_PANEL // 2, _PANEL), (70, 2 * _PANEL + 1)):
         stacks.append(np.stack([panel_matrix(layout, m, n, p, rng)
                                 for layout in ("growth", "zero", "random", "growth")]))
+    # 200 columns: at 385699439 panels of 14 fill its int64 budget of 31
+    # products every other panel, and at 2147483647 each one-column panel
+    # fills its budget of 1, so the growth members' stack is reduced
+    # mid-elimination; one member's first 2w live rows miss a panel's rank
+    stacks.append(np.stack([panel_matrix(layout, 100, 200, p, rng)
+                            for layout in ("growth", "random", "growth", "miss")]))
     dims = []
     for stack in stacks:
         got = stack_kernels(stack % p, p)
