@@ -26,31 +26,28 @@ the actual symbol subgroup, which is the safe direction for verifying
 identities proved from these relations alone.
 
 The quotient is built in two stages.  F1+F2+F3 are an orbit/sign
-canonicalization, computed combinatorially.  F4-F7 are then solved one
-character of the tame group mu_{p-1} at a time.  Every family is stable
-under (x,y) -> (lam x, lam y), and mu_{p-1}, generated by t = g^(p^(n-1))
-mod p^n for the primitive root g mod p, has order prime to p, so the
-annihilator W of the relation span splits into the components W_j on
-which t acts by g^j.  A vector of W_j is fixed by one value per t-orbit
-of classes, zero on orbits whose stabiliser sign differs from g^(jL) (L
-the orbit length), and it satisfies every relation once it satisfies
-those at the tame-normalised generators, x / p^v(x) = 1 mod p.  Each j
-is thus a small kernel, lifted back to class coordinates.  The kernels
-come from exactlin.system_kernels, which takes each system as its
-(row, column, value) triplets.  A system with more rows than w + 16, w its
-unknowns (every one a build makes at p >= 11), is folded as it is built into a
-CountSketch of w + 16 rows.  The folds of one width are eliminated together,
-as one stack: by one batched column loop when w <= 32 (every j at n = 1 and
-p <= 131), and one panel of columns at a time when wider.  Each nonempty
-kernel is certified against the triplets of its system, so the kernels are
-exact.  The size guard takes the elimination's share from
-exactlin.system_kernels_bytes, which also sets how many folds a stack
-holds before it is eliminated.  The quotient
-map is the unique echelon basis of W whose rows end in a 1 at the free
-classes, where all other rows vanish: one row reduction of W with its
-columns reversed gives exactly what a row reduction of the dense F4-F7
-matrix would.  Tests check this against that dense reduction and against
-a monolithic row reduction of the full generator-level relation matrix.
+canonicalization, computed combinatorially.  F4-F7 are then solved for
+the annihilator W of their span, one character of a cyclic unit group at
+a time.  Every family is stable under (x,y) -> (lam x, lam y), so a
+vector of one component is one value per orbit of classes, zero on the
+orbits whose stabiliser sign the character contradicts, and satisfies
+every relation once it satisfies those at one point per orbit.  At
+n >= 2 the whole unit group goes first.  Its components span W^P, the
+invariants of the p-group P = 1 + pZ, and W^P = 0 proves W = 0 (Serre,
+Linear Representations of Finite Groups, ch. 8).  Otherwise, and at
+n = 1, the tame group mu_{p-1}, of order prime to p, splits W into its
+components.  Each is a small kernel, from exactlin.system_kernels, lifted
+back to class coordinates.  A system with more rows than w + 16, w its
+unknowns (every one a build makes at p >= 11), is folded as it is built
+into a CountSketch of w + 16 rows.  The folds of one width are
+eliminated as one stack: by a batched column loop when w <= 32, and a
+panel of columns at a time when wider.  Each nonempty kernel is
+certified against its system's triplets, so the kernels are exact.  The
+quotient map is the unique echelon basis of W whose rows end in a 1 at
+the free classes, where all other rows vanish: one row reduction of W
+with its columns reversed gives exactly what a row reduction of the
+dense F4-F7 matrix would.  Tests check this against that dense reduction
+and against a row reduction of the generator-level relation matrix.
 """
 
 from functools import lru_cache
@@ -96,24 +93,17 @@ def _f7_families(p, n, gens):
             for k in range(1, n)]
 
 
-def _tame_normalised(x, p, n):
-    """Mask of the x, nonzero mod p^n, with x / p^v(x) = 1 mod p: one in
-    each orbit of the tame group."""
-    for _ in range(n - 1):
-        x = np.where(x % p == 0, x // p, x)
-    return x % p == 1
-
-
 def _build_bytes(p, n, flags):
     """About the peak bytes a build of M_{p,n} with these flags allocates.
 
     The generator grid and its F1-F3 canonicalization hold about 16 int64
-    arrays of p^2n entries at their peak.  Each character's system has a
-    row per F4-F7 relation at a tame-normalised point, of which there are
-    (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit of the
-    about (p^n - 1)^2 / 8 classes.  A certificate that fails densifies its
-    system, which is counted once, whole.  The p - 1 systems' elimination
-    adds exactlin.system_kernels_bytes, its own memory model.
+    arrays of p^2n entries.  The tame systems are charged, as a nonzero
+    W^P falls back to them: each has a row per F4-F7 relation at a point
+    x / p^v(x) = 1 mod p, (p^n - 1)/(p - 1) per y for F4-F6, and a column
+    per tame orbit of the about (p^n - 1)^2 / 8 classes.  A certificate
+    that fails densifies its system, counted once, whole.  Their
+    elimination adds exactlin.system_kernels_bytes.  The whole-group
+    systems are about p^(n-1) times smaller.
     """
     pn = p**n
     grid = 16 * pn * pn
@@ -136,11 +126,10 @@ class CycloModule:
     `dim` is the quotient dimension; `basis_pairs` lists the generator
     pair representing each quotient basis vector.  The arrays are read-only.
 
-    The F4-F7 relations are never assembled into one matrix.  The build
-    solves one small kernel per character of the tame group mu_{p-1},
-    lifts the kernels to class coordinates, and reads `class_to_quot`,
-    the free classes and `dim` off the echelon form of their stack, the
-    annihilator of the relation span (see the module docstring).
+    The F4-F7 relations are never assembled into one matrix: `_annihilator`
+    solves one small kernel per character of a unit group, and
+    `class_to_quot`, the free classes and `dim` are read off the echelon
+    form of their lifts (see the module docstring).
     """
 
     def __init__(self, p, n=1, flags=None):
@@ -181,28 +170,25 @@ class CycloModule:
         self.class_of_gen = np.where(rep >= 0, np.searchsorted(live, rep), -1)
         self.sign_of_gen = sign.astype(np.int64)
 
-    # -- stage 2: F4-F7, one kernel per tame character -----------------
+    # -- stage 2: F4-F7, one kernel per character of a unit group ------
 
-    def _tame_orbits(self, g):
-        """The classes as orbits of t = teich(g), a signed permutation.
+    def _orbits(self, h, steps):
+        """The classes as orbits of sigma_h, a signed permutation.
 
-        Returns (least, step, sign, length, stab), per class c: t^step[c]
-        maps c to sign[c] times least[c], the least class of its orbit,
-        and t^length[c] maps c back to stab[c] times itself, length the
-        orbit length.  t^((p-1)/2) = -1 fixes every class, so the walk
-        below closes every orbit.
+        Returns (least, step, sign, length, stab), per class c: h^step[c]
+        maps c to sign[c] least[c], the least class of its orbit, and
+        h^length[c] maps c to stab[c] c.  h^steps = -1 fixes every class,
+        so `steps` steps close every orbit.
         """
-        p, n, pn = self.p, self.n, self.pn
-        t = pow(g, p ** (n - 1), pn)
-        img = self.gen_index[image_keys(self.class_reps, pn, (t, 0, 0, t))]
-        t_cls, t_sign = self.class_of_gen[img], self.sign_of_gen[img]
+        img = self.gen_index[image_keys(self.class_reps, self.pn, (h, 0, 0, h))]
+        h_cls, h_sign = self.class_of_gen[img], self.sign_of_gen[img]
         idx = np.arange(self.n_classes)
         cur, sign = idx.copy(), np.ones_like(idx)
         least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
         length, stab = np.zeros_like(idx), sign.copy()
-        for e in range(1, (p - 1) // 2 + 1):
-            sign = sign * t_sign[cur]
-            cur = t_cls[cur]
+        for e in range(1, steps + 1):
+            sign = sign * h_sign[cur]
+            cur = h_cls[cur]
             lower = cur < least
             least[lower], step[lower], least_sign[lower] = cur[lower], e, sign[lower]
             home = (cur == idx) & (length == 0)
@@ -210,66 +196,71 @@ class CycloModule:
         return least, step, least_sign, length, stab
 
     def _annihilator(self):
-        """Basis rows, in class coordinates, of the annihilator of the F4-F7 span.
+        """Basis rows, in class coordinates, of the annihilator W of the F4-F7 span.
 
-        The rows come one character j of mu_{p-1} at a time.  A vector w of
-        the omega^j component is w[c] = sign[c] g^(-j step[c]) z[orbit of c],
-        with z zero on the orbits where g^(j length) differs from the
-        stabiliser sign.  Each relation at a tame-normalised generator is
-        one row over z.  system_kernels solves the systems over z of all j
-        together, building each as triplets on demand: one per term of a
-        relation, at its row and the orbit of its class.
+        The group is generated by h = primitive_root(p, n), then, if the
+        kernels are not all empty, by t = h^(p^(n-1)); at n = 1, h = t.  A
+        vector of the g^j component, g = h mod p, is w[c] = sign[c]
+        g^(-j step[c]) z[orbit of c], with z zero on the orbits where
+        g^(j length) is not the stabiliser sign.  The relations are rows
+        over z at the x with x / p^v(x) = 1 mod p times the group's p-part.
         """
         p, pn, n = self.p, self.pn, self.n
-        g = primitive_root(p)
-        least, step, sign, length, stab = self._tame_orbits(g)
-        reps = np.flatnonzero(least == np.arange(self.n_classes))
-        orbit = np.searchsorted(reps, least)
-        back = -step % (p - 1)                            # c = sign t^back (least)
-        gpow = power_table(g, p - 2, p)                   # g^e for e < p - 1
+        h = primitive_root(p, n)
+        gpow = power_table(h, p - 2, p)                   # g^e for e < p - 1
         families = [(terms, self.gens) for name, terms in _RELATION_TERMS.items()
                     if name in self.flags]
         if "F7" in self.flags:
             families += _f7_families(p, n, self.gens)
-        rows, cols, coef, expo = [], [], [], []
-        nrows = 0
-        for terms, at in families:
-            at = at[_tame_normalised(at[:, 0], p, n)]
-            lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
-            mask = np.logical_and.reduce([gen >= 0 for gen in lookups])
-            ridx = np.arange(nrows, nrows + mask.sum())
-            nrows += len(ridx)
-            for (c, _), gen in zip(terms, lookups):
-                gen = gen[mask]
-                cls = self.class_of_gen[gen]
-                ok = cls >= 0
-                cls = cls[ok]
-                rows.append(ridx[ok])
-                cols.append(orbit[cls])
-                coef.append(c * self.sign_of_gen[gen[ok]] * sign[cls])
-                expo.append(back[cls])
-        rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
-        # live[j]: the orbits on which z may be nonzero at character j
-        live = gpow[np.outer(np.arange(p - 1), length[reps]) % (p - 1)] == stab[reps] % p
+        for wild in dict.fromkeys((p ** (n - 1), 1)):     # the group's p-part
+            least, step, sign, length, stab = self._orbits(
+                pow(h, p ** (n - 1) // wild, pn), wild * (p - 1) // 2)
+            reps = np.flatnonzero(least == np.arange(self.n_classes))
+            orbit = np.searchsorted(reps, least)
+            back = -step % (p - 1)                        # c = sign h^back (least)
+            rows, cols, coef, expo = [], [], [], []
+            nrows = 0
+            for terms, at in families:
+                # x / p^v(x), as gcd(x, p^(n-1)) = p^v(x)
+                at = at[at[:, 0] // np.gcd(at[:, 0], p ** (n - 1)) % (p * wild) == 1]
+                lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
+                mask = np.logical_and.reduce([gen >= 0 for gen in lookups])
+                ridx = np.arange(nrows, nrows + mask.sum())
+                nrows += len(ridx)
+                for (c, _), gen in zip(terms, lookups):
+                    gen = gen[mask]
+                    cls = self.class_of_gen[gen]
+                    ok = cls >= 0
+                    cls = cls[ok]
+                    rows.append(ridx[ok])
+                    cols.append(orbit[cls])
+                    coef.append(c * self.sign_of_gen[gen[ok]] * sign[cls])
+                    expo.append(back[cls])
+            rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
+            # live[j]: the orbits on which z may be nonzero at character j
+            live = gpow[np.outer(np.arange(p - 1), length[reps]) % (p - 1)] == stab[reps] % p
 
-        def system(j):
-            # the triplets of the relations over the live orbits at j
-            col = np.cumsum(live[j]) - 1
-            use = live[j][cols]
-            return (rows[use], col[cols[use]], coef[use] * gpow[j * expo[use] % (p - 1)],
-                    (nrows, int(live[j].sum())))
+            def system(j):
+                # the triplets of the relations over the live orbits at j
+                col = np.cumsum(live[j]) - 1
+                use = live[j][cols]
+                return (rows[use], col[cols[use]], coef[use] * gpow[j * expo[use] % (p - 1)],
+                        (nrows, int(live[j].sum())))
 
-        js = [j for j in range(p - 1) if live[j].any()]
-        kernels = system_kernels(system, js, p)
-        parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
-        for j in js:
-            ker = kernels[j]
-            if not len(ker):
-                continue
-            z = np.zeros((len(ker), len(reps)), dtype=np.int64)
-            z[:, live[j]] = ker
-            parts.append(z[:, orbit] * (sign * gpow[j * back % (p - 1)]) % p)
-        return np.concatenate(parts)
+            js = [j for j in range(p - 1) if live[j].any()]
+            kernels = system_kernels(system, js, p)
+            parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
+            for j in js:
+                ker = kernels[j]
+                if not len(ker):
+                    continue
+                z = np.zeros((len(ker), len(reps)), dtype=np.int64)
+                z[:, live[j]] = ker
+                parts.append(z[:, orbit] * (sign * gpow[j * back % (p - 1)]) % p)
+            ann = np.concatenate(parts)
+            if not len(ann):
+                break
+        return ann
 
     def _reduce(self):
         # class_to_quot.T is the echelon basis of the annihilator whose rows

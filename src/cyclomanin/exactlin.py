@@ -289,14 +289,22 @@ def _eliminate_panels(stack, p):
     return where
 
 
+def _merge(coeff, rows, p):
+    # coeff @ rows as a sum of products mod p, each of inner length at most
+    # int64_terms(p), so that no int64 sum can overflow
+    t = int64_terms(p)
+    return sum(matmul_mod(coeff[:, s:s + t], rows[s:s + t], p)
+               for s in range(0, len(rows), t))
+
+
 def rref_mod(a, p):
     """Canonical RREF over F_p.  Returns (R, pivot_cols).
 
     R has one row per pivot; pivot columns carry a single 1.  Input rows
     are folded in blockwise: each block is reduced mod p as it is read,
     so the input need not be reduced and is never copied whole, then
-    reduced against the pivots found so far (one exact matmul) and
-    eliminated locally.
+    reduced against the pivots found so far (by _merge) and eliminated
+    locally.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     basis = np.zeros((0, a.shape[1]), dtype=np.int64)
@@ -305,7 +313,7 @@ def rref_mod(a, p):
         chunk = a[start:start + _RREF_BLOCK] % p
         coeff = chunk[:, pivots]
         if coeff.any():
-            chunk = (chunk - matmul_mod(coeff, basis, p)) % p
+            chunk = (chunk - _merge(coeff, basis, p)) % p
         chunk = chunk[chunk.any(axis=1)]
         where = _eliminate_panels(chunk[None], p)[0]
         new_pivots = (where >= 0).nonzero()[0].tolist()
@@ -314,7 +322,7 @@ def rref_mod(a, p):
         new_rows = chunk[where[new_pivots]]
         coeff = basis[:, new_pivots]
         if coeff.any():
-            basis = (basis - matmul_mod(coeff, new_rows, p)) % p
+            basis = (basis - _merge(coeff, new_rows, p)) % p
         basis = np.vstack([basis, new_rows])
         pivots.extend(new_pivots)
         order = np.argsort(pivots, kind="stable")

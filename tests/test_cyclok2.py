@@ -9,8 +9,14 @@ mismatch.
 
 The second oracle is the dense build the package no longer runs: every
 F4-F7 row in canonical-class coordinates, one row reduction, and the
-quotient map read off it.  The package solves one kernel per tame
-character instead, and must reproduce this quotient exactly.
+quotient map read off it.  The package solves one kernel per character
+of a unit group instead, and must reproduce this quotient exactly.
+
+At n >= 2 the build first solves the systems of the whole unit group,
+whose kernels span W^P, P = 1 + pZ, and builds the tame systems only when
+those kernels are not all empty.  The tests check dim W^P against
+dim M - rank(sigma_{1+p} - 1), with dim M from the tame systems, and
+which systems each build solves.
 """
 
 import os
@@ -30,7 +36,8 @@ from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, CycloModule,
                                 e_table, quotient_coeffs, rho_basis,
                                 verify_hecke_eigenvalue, xi_class)
 from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
-                                 matmul_mod, quotient_map, rref_mod)
+                                 matmul_mod, quotient_map, rref_mod,
+                                 system_kernels, unit_group)
 from cyclomanin.manin import enumerate_X, image_keys, is_supported_at_infty
 from oracles import eigen_projector
 
@@ -160,6 +167,63 @@ def test_character_build_matches_the_dense_reduction(p, n, extra):
     ok = module.class_of_gen >= 0
     rm[ok] = q[module.class_of_gen[ok]] * module.sign_of_gen[ok, None] % p
     assert np.array_equal(module.reduce_matrix, rm)
+
+
+WILD_CASES = [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("extra", EXTRA_FLAGS, ids="+".join)
+@pytest.mark.parametrize("p,n", WILD_CASES)
+def test_unit_group_kernels_are_the_dual_of_the_coinvariants(p, n, extra, monkeypatch):
+    # the whole-group kernels span W^P, the dual of M_P = M / (sigma_{1+p} - 1) M,
+    # so their count is dim M - rank(sigma_{1+p} - 1), and 0 exactly when M
+    # is.  The spy adds a zero row to them, so that every build goes on to
+    # the tame systems and dim M comes from those
+    found = []
+
+    def spy(build, keys, q):
+        kernels = system_kernels(build, keys, q)
+        found.append(sum(map(len, kernels.values())))
+        if len(found) == 1:
+            kernels[keys[0]] = np.zeros((1, build(keys[0])[3][1]), dtype=np.int64)
+        return kernels
+
+    monkeypatch.setattr(cyclok2, "system_kernels", spy)
+    module = CycloModule(p, n, F14 + extra)
+    assert len(found) == 2
+    step = module.galois_matrix(1 + p) - np.eye(module.dim, dtype=np.int64)
+    assert found[0] == module.dim - len(rref_mod(step, p)[1])
+    assert (found[0] == 0) == (module.dim == 0)
+
+
+def orbit_count(module, units):
+    """The number of orbits of the classes under scaling by `units`."""
+    least = np.arange(module.n_classes)
+    for lam in units:
+        img = module.gen_index[image_keys(module.class_reps, module.pn,
+                                          (int(lam), 0, 0, int(lam)))]
+        least = np.minimum(least, module.class_of_gen[img])
+    return len(set(least.tolist()))
+
+
+@pytest.mark.parametrize("p, flags, dim", [(11, ALL_FLAGS, 0),
+                                           (13, F14 + ("F6", "F7"), 1)])
+def test_tame_systems_are_solved_only_when_w_p_is_nonzero(p, flags, dim, monkeypatch):
+    # the widest system of each call to system_kernels has a column per orbit
+    # of a group: first the whole unit group, then mu_{p-1} only if the
+    # first kernels are not all empty
+    widths = []
+
+    def spy(build, keys, q):
+        widths.append(max(build(key)[3][1] for key in keys))
+        return system_kernels(build, keys, q)
+
+    monkeypatch.setattr(cyclok2, "system_kernels", spy)
+    module = CycloModule(p, 2, flags)
+    assert module.dim == dim
+    units = unit_group(p * p)
+    groups = [units, [u for u in units if pow(int(u), p - 1, p * p) == 1]]
+    assert widths == [orbit_count(module, g) for g in groups[:1 + dim]]
 
 
 # regular primes whose quotient keeps extra lines, with the even weights

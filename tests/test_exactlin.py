@@ -207,6 +207,21 @@ def test_rref_matches_the_column_loop(layout, n, p):
         assert np.array_equal(a, before)
 
 
+@pytest.mark.parametrize("p", (385699439, 2147483647))
+def test_rref_merges_more_pivots_than_an_int64_sum_takes(p):
+    # the first block of rows pivots on the first 40 columns and the second
+    # on the next 40, so both of the second block's merges into the basis
+    # sum 40 products, more than int64_terms(p)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, size=(_RREF_BLOCK + 100, 80))
+    a[:_RREF_BLOCK, 40:] = 0
+    assert int64_terms(p) < 40
+    rref, piv = rref_mod(a, p)
+    want, want_piv = loop_rref(a, p)
+    assert piv == want_piv == list(range(80))
+    assert np.array_equal(rref, want)
+
+
 @pytest.mark.parametrize("p", (5, 1000000007, 3037000493))
 def test_int64_terms_is_the_exact_bound(p):
     terms = int64_terms(p)
