@@ -113,11 +113,6 @@ def _build_bytes(p, n, flags):
     return 8 * (grid + rows * orbits) + system_kernels_bytes(orbits, p - 1)
 
 
-def _check_build_size(p, n, flags):
-    check_memory(_build_bytes(p, n, flags), f"p^n = {p**n}",
-                 "the generator grid and the largest character's relation system")
-
-
 class CycloModule:
     """The presented module M_{p,n} with its quotient structure.
 
@@ -139,7 +134,8 @@ class CycloModule:
         flags = frozenset(flags if flags is not None else ALL_FLAGS)
         if not flags >= {"F1", "F2", "F3", "F4"}:
             raise ValueError("relation families F1-F4 are always required")
-        _check_build_size(p, n, flags)
+        check_memory(_build_bytes(p, n, flags), f"p^n = {p**n}",
+                     "the generator grid and the largest character's relation system")
         self.p, self.n, self.pn = p, n, p**n
         self.flags = flags
         pn = self.pn

@@ -7,13 +7,13 @@ row echelon form of the row space and does not depend on the order the
 input rows were given in.
 
 Every elimination runs one routine, `_eliminate_panels`, over a stack of
-matrices; a single matrix is a stack of one.  On blocks at most _PANEL
-columns wide it is the column loop `_eliminate_columns`; wider ones go
-by panels of columns, each solved on a few candidate rows per member and
-cleared from the rest of the stack by one batched product per slice of
-rows.  Reduction mod p is delayed (Dumas-Giorgi-Pernet): an entry is
-reduced when it is read, when the next update could take it past
-int64_terms(p) products of residues, and on exit, so every returned
+matrices; rref_mod's matrix, however tall, is a stack of one.  On blocks
+at most _PANEL columns wide it is the column loop `_eliminate_columns`;
+wider ones go by panels of columns, each solved on a few candidate rows
+per member and cleared from the rest of the stack by one batched product
+per slice of rows.  Reduction mod p is delayed (Dumas-Giorgi-Pernet):
+an entry is reduced when it is read, when the next update could take it
+past int64_terms(p) products of residues, and on exit, so every returned
 entry is a residue and no int64 sum overflows.
 `system_kernels` solves many tall sparse systems, each given by its (row,
 column, value) triplets.  Each is folded as it is built, by one
@@ -38,7 +38,6 @@ from functools import lru_cache
 import numpy as np
 
 _F64_EXACT = 2**53
-_RREF_BLOCK = 1024     # input rows folded into the echelon basis per step
 _PANEL = 32            # columns the elimination loop runs on per panel
 _SLACK = 16            # rows a compressed system keeps beyond its width
 _UPDATE_CELLS = 2**15  # cells the column loop rewrites per slice of rows
@@ -289,46 +288,20 @@ def _eliminate_panels(stack, p):
     return where
 
 
-def _merge(coeff, rows, p):
-    # coeff @ rows as a sum of products mod p, each of inner length at most
-    # int64_terms(p), so that no int64 sum can overflow
-    t = int64_terms(p)
-    return sum(matmul_mod(coeff[:, s:s + t], rows[s:s + t], p)
-               for s in range(0, len(rows), t))
-
-
 def rref_mod(a, p):
     """Canonical RREF over F_p.  Returns (R, pivot_cols).
 
-    R has one row per pivot; pivot columns carry a single 1.  Input rows
-    are folded in blockwise: each block is reduced mod p as it is read,
-    so the input need not be reduced and is never copied whole, then
-    reduced against the pivots found so far (by _merge) and eliminated
-    locally.
+    R has one row per pivot; pivot columns carry a single 1.  The input
+    need not be reduced: it is reduced mod p into one copy, its zero rows
+    dropped, and eliminated as a stack of one by _eliminate_panels.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    basis = np.zeros((0, a.shape[1]), dtype=np.int64)
-    pivots = []
-    for start in range(0, a.shape[0], _RREF_BLOCK):
-        chunk = a[start:start + _RREF_BLOCK] % p
-        coeff = chunk[:, pivots]
-        if coeff.any():
-            chunk = (chunk - _merge(coeff, basis, p)) % p
-        chunk = chunk[chunk.any(axis=1)]
-        where = _eliminate_panels(chunk[None], p)[0]
-        new_pivots = (where >= 0).nonzero()[0].tolist()
-        if not new_pivots:
-            continue
-        new_rows = chunk[where[new_pivots]]
-        coeff = basis[:, new_pivots]
-        if coeff.any():
-            basis = (basis - _merge(coeff, new_rows, p)) % p
-        basis = np.vstack([basis, new_rows])
-        pivots.extend(new_pivots)
-        order = np.argsort(pivots, kind="stable")
-        basis = basis[order]
-        pivots = [pivots[i] for i in order]
-    return basis, pivots
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
+    nonzero = a.any(axis=1)
+    if not nonzero.all():
+        a = a[nonzero]
+    where = _eliminate_panels(a[None], p)[0]
+    pivots = (where >= 0).nonzero()[0]
+    return a[where[pivots]], pivots.tolist()
 
 
 def quotient_map(rref, pivots, ncols, p):
@@ -479,6 +452,8 @@ def unit_group(m):
 def primitive_root(p, n=1):
     """A generator of (Z/p^n)^x for an odd prime p: the smallest primitive
     root g mod p, or g + p when n >= 2 and g^(p-1) = 1 mod p^2."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     fac = []
     q, t = p - 1, 2
     while t * t <= q:
@@ -530,9 +505,16 @@ def bernoulli_over_k_mod(k, p):
 
     Kummer's congruence reduces the index mod p-1, so any such k is
     accepted; the value depends only on k mod (p-1).
+
+    One k is answered by this O(k^2) recursion, not by Voronoi's
+    congruence of irregular_weights: it holds O(k) numbers where the
+    congruence holds arrays of p - 1 entries, about 8 GB at p = 10^9 + 7,
+    a prime eis-dim accepts at small k.
     """
     if p <= 3:
         raise ValueError("p must be a prime > 3")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime > 3, got {p}")
     if k < 2 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 2")
     if k % (p - 1) == 0:
@@ -571,7 +553,9 @@ def irregular_weights(p):
     The dot product sums p - 1 terms w x with w < g in int64, at most
     what g - 1 products of residues sum to; a p where that could reach
     2^62 raises ValueError before anything is allocated.
-    is_irregular_pair answers one k by the recursion.
+    is_irregular_pair answers one k by the recursion, which stays: this
+    sweep's O(p) arrays would take about 8 GB at p = 10^9 + 7, where
+    eis-dim asks for one k.
     """
     check_prime(p, least=3)
     g = primitive_root(p)

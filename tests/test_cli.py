@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclomanin import cli, exactlin
 from cyclomanin.cli import main, parse_flags
 from cyclomanin.cyclok2 import build_cyclo_module, e_manin
 from cyclomanin.exactlin import matmul_mod
@@ -220,6 +221,22 @@ def test_eis_dim_names_the_int64_bound(capsys):
         main(["eis-dim", "--p", "2147483647", "--k", "12"])
     assert err.value.code == 2
     assert "too large for exact int64 sums of 6 products" in capsys.readouterr().err
+
+
+def test_eis_dim_at_a_huge_prime_and_a_small_weight(capsys, monkeypatch):
+    # the Bernoulli recursion answers this k in O(k) memory; Voronoi's
+    # congruence in irregular_weights would hold about 8 GB of arrays here
+    def no_sweep(p):
+        raise AssertionError("irregular_weights called for one weight")
+
+    monkeypatch.setattr(cli, "irregular_weights", no_sweep)
+    monkeypatch.setattr(exactlin, "irregular_weights", no_sweep)
+    code, rep = run_cli(capsys, "eis-dim", "--p", "1000000007", "--k", "4")
+    assert code == 0
+    details = rep["checks"][0]["details"]
+    assert details["dims"] == {"total": 1, "boundary": 1, "parabolic": 0,
+                               "plus_eisenstein": 0}
+    assert details["eigenvalues"] == {"2": 9}     # 1 + 2^(k-1)
 
 
 def test_eis_dim_refuses_an_overlarge_weight_before_allocating(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cyclomanin import exactlin
-from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_mod,
+from cyclomanin.exactlin import (_PANEL, _SLACK, _bernoulli_table_mod,
                                  _kernel_basis, _panel_width, bernoulli_over_k_mod,
                                  check_int64_sums, check_prime,
                                  coords_in_rowspace, int64_terms, inv_mod,
@@ -18,6 +18,10 @@ from cyclomanin.exactlin import (_PANEL, _RREF_BLOCK, _SLACK, _bernoulli_table_m
                                  primitive_root, quotient_map, rref_mod,
                                  stack_kernels, system_kernels, unit_group)
 from oracles import inv_mod_matrix
+
+# rows per block of the row-block merge rref_mod once ran; the tall inputs
+# below are cut at it, and now go through one stacked elimination whole
+_RREF_BLOCK = 1024
 
 
 @st.composite
@@ -481,6 +485,13 @@ def test_primitive_root_lifts_past_a_wieferich_root():
                for q in filter(is_prime, range(3, 2000)))
 
 
+def test_primitive_root_refuses_a_composite():
+    # 2 generates the units mod 9, but 9 is no prime, nor is 15
+    for p, n in ((9, 1), (15, 2)):
+        with pytest.raises(ValueError, match=f"got {p}"):
+            primitive_root(p, n)
+
+
 def test_omega_pow_is_a_character():
     p = 13
     for a in range(1, p):
@@ -516,6 +527,18 @@ def test_bernoulli_kummer_congruence():
             for t in (1, 2, 5):
                 assert (bernoulli_over_k_mod(k0 + t * (p - 1), p)
                         == bernoulli_over_k_mod(k0, p))
+
+
+def test_bernoulli_refuses_a_composite_or_small_p():
+    # the recursion would divide by 3, which has no inverse mod 9 or 15
+    for p in (9, 15):
+        with pytest.raises(ValueError, match=f"prime > 3, got {p}"):
+            bernoulli_over_k_mod(4, p)
+        with pytest.raises(ValueError, match=f"prime > 3, got {p}"):
+            is_irregular_pair(p, 4)
+    for p in (2, 3):
+        with pytest.raises(ValueError, match=r"^p must be a prime > 3$"):
+            bernoulli_over_k_mod(4, p)
 
 
 def test_irregular_pairs_known_list():
