@@ -3,8 +3,8 @@
 A level-one symbol with V_{k-2} coefficients is a single dual vector v
 killed by 1+S and 1+U+U^2 (S order 4, U order 3).  On V_{k-2}, S is the
 signed reversal lambda_i -> (-1)^i lambda_{k-2-i}, so ker(1+S) is written
-down and only 1+U+U^2 is eliminated on it; U is the only operator built
-as a whole matrix.  Boundary symbols lam - lam|S come
+down and only 1+U+U^2 is eliminated on it, applied to the basis rows by
+lvalues.act_rows through T and T^-1.  Boundary symbols lam - lam|S come
 from the Gamma_infty-invariant functionals, whose closed form needs no
 elimination either.  The parabolic quotient carries conjugation and Hecke
 operators, whose simultaneous eigenspace with T_q-eigenvalue 1+q^(k-1)
@@ -21,9 +21,7 @@ import numpy as np
 from .exactlin import (check_memory, check_prime, check_weight, coords_in_rowspace,
                        kernel_mod, matmul_mod, quotient_map, rref_mod)
 from .hecke import merel_set
-from .lvalues import act_rows, dual_act_matrix, gamma_infty_invariants
-
-U = (0, -1, 1, -1)    # order-3 generator; S*U = T
+from .lvalues import act_rows, gamma_infty_invariants
 
 
 def _setup_bytes(k):
@@ -40,10 +38,14 @@ def level1_space(k, p):
     (-1)^i lambda_{r-i}, so ker(1+S) needs no elimination: it is
     parametrised by v_i for i < r/2, with v_{r-i} = -(-1)^i v_i, and by
     v_{r/2} when r/2 is odd (it is 0 when r/2 is even).  Only 1+U+U^2 is
-    eliminated, as an (r+1) x about r/2 system on that basis, whose
-    columns (1+U+U^2)b are combinations of the columns of U's matrix plus
-    one product with it.  Any basis of the space may come back; callers
-    read it through rref_mod or its row count.
+    eliminated, as an about r/2 x (r+1) system on the rows of that basis.
+    U = (0 -1; 1 -1) is S T^-1 and U^2 = U^-1 = T S^-1, and at even r
+    the scalar -1 acts trivially, so S^-1 = -S acts as S.  Hence every v in
+    ker(1+S) has v|U = (v|S)|T^-1 = -v|T^-1 and v|U^2 = (v|T)|S, and the
+    system is two act_rows calls of one Pascal product each: v|sigma is
+    act_rows(v, [sigma^T]), and S is the signed reversal again.  Any
+    basis of the space may come back; callers read it through rref_mod
+    or its row count.
 
     A k whose pipeline would exceed physical memory (_setup_bytes) raises
     ValueError before anything is allocated.
@@ -54,14 +56,13 @@ def level1_space(k, p):
     half = r // 2
     free = np.arange(half + half % 2)         # v_i for i < r/2, and v_{r/2} if r/2 is odd
     mirror, sign = r - free[:half], np.where(free[:half] % 2, 1, p - 1)
-    basis = np.zeros((r + 1, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[mirror, np.arange(half)] = sign
-    bu = dual_act_matrix(U, r, p)
-    once = bu[:, free]                        # U's matrix times each basis column
-    once[:, :half] += bu[:, mirror] * sign
-    once %= p
-    coeff = kernel_mod((basis + once + matmul_mod(bu, once, p)) % p, p)
+    basis = np.zeros((len(free), r + 1), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[np.arange(half), mirror] = sign
+    flip = np.where(np.arange(r + 1) % 2, p - 1, 1)
+    system = (basis - act_rows(basis, [(1, 0, -1, 1)], r, p)
+              + act_rows(basis, [(1, 0, 1, 1)], r, p)[:, ::-1] * flip) % p
+    coeff = kernel_mod(system.T.copy(), p)  # C order: the elimination walks rows
     out = np.zeros((coeff.shape[0], r + 1), dtype=np.int64)
     out[:, free] = coeff
     out[:, mirror] = coeff[:, :half] * sign % p
@@ -79,7 +80,7 @@ def hecke_matrix_dual(m, r, p):
     is stated for the row-vector symbol action; the dual action here reads
     polynomials through the adjugate, which is the S-conjugated
     presentation, and S delta S^-1 = adj(delta^T).  In row form v|delta^T
-    is v @ poly_act_matrix(delta), so the image rows are one act_rows call
+    is act_rows(v, [delta]), so the image rows are one act_rows call
     over H_m: exactly the conjugated family, the one that preserves the
     level-one relations.
     """

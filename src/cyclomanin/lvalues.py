@@ -4,21 +4,21 @@ W_r is homogeneous degree-r polynomials in X, Y over F_p with the
 right action (F|s)(X,Y) = F((X,Y)s') through the adjugate s' of s.
 V_r is its dual, coordinatized in the basis {lambda_i} dual to
 {(-1)^i X^{r-i} Y^i}; vectors of both are plain residue arrays.  Each
-substitution is a product of two triangular factors: poly_act_matrix
-builds it whole, as the level-one U and conjugation matrices need, and
-act_rows applies a sum of them to a block of rows through the Pascal
-matrix, as the level-one Hecke operators need, without any (r+1)^2
-matrix.  The Gamma_infty invariants have a closed form and are written
-down, not eliminated.  The L-values attached to a functional rho on the
-cyclotomic symbol module are plain finite sums here.  The pairings, the
-boundary-symbol L-values lam - lam|S, the T_p fixed-point check and the
-elimination the invariants replace are in tests/oracles.py.
+substitution is a product of two triangular factors, and act_rows
+applies a sum of them to a block of rows through the Pascal matrix,
+without any (r+1)^2 matrix.  It is the one weight-r action here: the
+level-one relations 1+U+U^2 and the Hecke operators all reach their
+rows through it.  The Gamma_infty invariants have a closed form and are
+written down, not eliminated.  The L-values attached to a functional
+rho on the cyclotomic symbol module are plain finite sums here.  The
+whole action matrices, the pairings, the boundary-symbol L-values
+lam - lam|S, the T_p fixed-point check and the elimination the
+invariants replace are in tests/oracles.py.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclok2 import build_cyclo_module, rho_basis, xi_class
 from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
@@ -37,16 +37,6 @@ def binom_table(n, p):
         c[i, 1:i + 1] = (c[i - 1, :i] + c[i - 1, 1:i + 1]) % p
     c.flags.writeable = False
     return c
-
-
-def _first_column(pow_a, pow_c, r, p):
-    # U[i, j] = C(j, i) a^i c^(j-i): column j is (aX + cY)^j Y^(r-j)
-    padded = np.concatenate([np.zeros(r, dtype=np.int64), pow_c])
-    out = binom_table(r, p).T * sliding_window_view(padded, r + 1)[::-1]
-    out %= p
-    out *= pow_a[:, None]
-    out %= p
-    return out
 
 
 def _substitution(sigma, p):
@@ -91,25 +81,6 @@ def _matmul_halves(a, b, r, p):
     return (matmul_mod(a[..., :h], b[:h], p) + matmul_mod(a[..., h:], b[h:], p)) % p
 
 
-def poly_act_matrix(sigma, r, p):
-    """Matrix A with coeffs(F|sigma) = A @ coeffs(F), for a prime p.
-
-    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  A is the
-    product of the two triangular factors of _substitution, each built
-    whole, reversed in its rows and columns as the swaps say.
-
-    Accepts exactly the p at which r//2 + 1 products of residues sum
-    below 2^62, and raises ValueError at larger p.
-    """
-    check_int64_sums(r // 2 + 1, p)
-    alpha, gamma, delta, beta, swap_source, swap_target = _substitution(sigma, p)
-    pa, pc, pd, pb = power_table([alpha, gamma, delta, beta], r, p)
-    first = _first_column(pa, pc, r, p)
-    shear = _first_column(pd, pb, r, p)[::-1, ::-1]
-    out = _matmul_halves(first, shear, r, p)
-    return out[::-1 if swap_target else 1, ::-1 if swap_source else 1]
-
-
 def _rows_times_factor(block, a, c, r, p):
     # block[s] @ U(a[s], c[s]) mod p for each member s of a (B, n, r + 1)
     # stack, by the factorisation of U stated in act_rows
@@ -124,16 +95,20 @@ def _rows_times_factor(block, a, c, r, p):
 
 
 def act_rows(rows, sigmas, r, p):
-    """rows @ sum of poly_act_matrix(sigma, r, p) over sigmas, mod p.
+    """Coefficients of the sum over sigmas of F|sigma, for each row F, mod p.
 
-    Forms no (r+1)^2 action matrix: each triangular factor U(a, c) of
-    _substitution is D(a^i c^-i) P D(c^j) when c != 0, with P the cached
-    Pascal matrix binom_table(r, p).T and D diagonal, and D(a^i) when
-    c = 0, so a block of rows costs two diagonal scalings and one product
-    with P per factor.  The sigmas go in chunks whose stacked rows hold
-    at most (r+1)^2 entries, or one sigma where the rows hold more; a
-    chunk costs one product with P a factor.  Accepts the same (r, p) as
-    poly_act_matrix.
+    A row holds the coefficients of a form F in W_r, that of X^j Y^(r-j)
+    at j = 0..r, and F|sigma is the substitution F((X,Y)sigma') of the
+    module docstring.  Forms no (r+1)^2 action matrix: each triangular
+    factor U(a, c) of _substitution is D(a^i c^-i) P D(c^j) when c != 0,
+    with P the cached Pascal matrix binom_table(r, p).T and D diagonal,
+    and D(a^i) when c = 0, so a block of rows costs two diagonal scalings
+    and one product with P per factor.  The sigmas go in chunks whose
+    stacked rows hold at most (r+1)^2 entries, or one sigma where the
+    rows hold more; a chunk costs one product with P a factor.
+
+    Accepts exactly the p at which r//2 + 1 products of residues sum
+    below 2^62, and raises ValueError at larger p.
     """
     check_int64_sums(r // 2 + 1, p)
     rows = np.asarray(rows, dtype=np.int64) % p
@@ -157,10 +132,12 @@ def dual_act_matrix(sigma, r, p):
     (lam|sigma)(m) = lam(m|sigma'), so B is the lambda-basis transpose
     of the W_r action of sigma'.  The lambda basis reverses the monomials
     and signs them by (-1)^i, which conjugates sigma' = adj(sigma) to the
-    transpose of sigma: B is the W_r matrix of sigma^T, transposed.
+    transpose of sigma: B is the W_r matrix of sigma^T, transposed, which
+    is act_rows of the identity.  In row form, v|sigma is act_rows(v,
+    [sigma^T]).
     """
     a, b, c, d = sigma
-    return poly_act_matrix((a, c, b, d), r, p).T
+    return act_rows(np.eye(r + 1, dtype=np.int64), [(a, c, b, d)], r, p).T
 
 
 def gamma_infty_invariants(r, p):

@@ -4,23 +4,26 @@ Coefficient modules, the Manin relation space and boundary symbols; the
 closed-form and matrix Hecke operators; eigenprojectors of M_{p,1}; the
 weight-r pairings and boundary L-values, on residue arrays with r and p
 passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
-coordinates); the Gamma_infty invariants, boundary rows and level-one
-space by elimination over full V_r matrices; the level-one Hecke
-operators summed as full V_r matrices; and the level-one q-expansions.
+coordinates); the whole W_r and V_r action matrices, built apart from
+lvalues.act_rows; the Gamma_infty invariants, boundary rows and
+level-one space by elimination over full V_r matrices; the level-one
+Hecke operators summed as full V_r matrices; and the level-one
+q-expansions.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from cyclomanin.eisspace import U
-from cyclomanin.exactlin import (bernoulli_over_k_mod, check_weight, coords_in_rowspace,
-                                 inv_mod, kernel_mod, matmul_mod, omega_pow, rref_mod,
-                                 unit_group)
+from cyclomanin.exactlin import (bernoulli_over_k_mod, check_int64_sums, check_weight,
+                                 coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
+                                 omega_pow, power_table, rref_mod, unit_group)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
-from cyclomanin.lvalues import binom_table, dual_act_matrix
+from cyclomanin.lvalues import _matmul_halves, _substitution, binom_table
 from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X
 
 S = (0, -1, 1, 0)     # order-4 rotation
 T = (1, 1, 0, 1)      # upper unipotent generator of Gamma_infty
+U = (0, -1, 1, -1)    # order-3 generator, S T^-1
 
 
 def trivial_coeffs(p, n=1):
@@ -182,6 +185,43 @@ def _weight_r(r, p, *vecs):
     if any(v.shape != (r + 1,) for v in vecs):
         raise ValueError(f"need {r + 1} coordinates, got {[v.shape for v in vecs]}")
     return vecs
+
+
+def _first_column(pow_a, pow_c, r, p):
+    # U[i, j] = C(j, i) a^i c^(j-i): column j is (aX + cY)^j Y^(r-j)
+    padded = np.concatenate([np.zeros(r, dtype=np.int64), pow_c])
+    out = binom_table(r, p).T * sliding_window_view(padded, r + 1)[::-1]
+    out %= p
+    out *= pow_a[:, None]
+    out %= p
+    return out
+
+
+def poly_act_matrix(sigma, r, p):
+    """Matrix A with coeffs(F|sigma) = A @ coeffs(F), for a prime p.
+
+    Coordinates are coefficients of X^j Y^(r-j), j = 0..r.  A is the
+    product of the two triangular factors of lvalues._substitution, each
+    built whole, reversed in its rows and columns as the swaps say.
+
+    Accepts exactly the p at which r//2 + 1 products of residues sum
+    below 2^62, and raises ValueError at larger p.
+    """
+    check_int64_sums(r // 2 + 1, p)
+    alpha, gamma, delta, beta, swap_source, swap_target = _substitution(sigma, p)
+    pa, pc, pd, pb = power_table([alpha, gamma, delta, beta], r, p)
+    first = _first_column(pa, pc, r, p)
+    shear = _first_column(pd, pb, r, p)[::-1, ::-1]
+    out = _matmul_halves(first, shear, r, p)
+    return out[::-1 if swap_target else 1, ::-1 if swap_source else 1]
+
+
+def dual_act_matrix(sigma, r, p):
+    """Matrix B with coords(lam|sigma) = B @ coords(lam) in the lambda basis:
+    the W_r matrix of sigma^T, transposed (see lvalues.dual_act_matrix),
+    built whole by poly_act_matrix."""
+    a, b, c, d = sigma
+    return poly_act_matrix((a, c, b, d), r, p).T
 
 
 def pairing(lam, f, r, p):

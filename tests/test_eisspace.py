@@ -33,6 +33,14 @@ def test_closed_forms_match_the_eliminations(p):
         assert got[1] == want[1] and np.array_equal(got[0], want[0]), (p, k)
 
 
+@pytest.mark.parametrize("p,k", ((211, 106), (691, 346), (1009, 1006)))
+def test_level1_space_matches_the_full_kernel_at_large_weights(p, k):
+    # level1_space applies 1+U+U^2 through act_rows; the oracle eliminates
+    # 1+S and 1+U+U^2 as whole V_r matrices, at weights past p/2
+    got, want = rref_mod(level1_space(k, p), p), rref_mod(level1_by_kernel(k, p), p)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
 def test_level1_input_validation():
     for bad in (3, 1, 7):
         with pytest.raises(ValueError):

@@ -450,7 +450,6 @@ def test_inv_mod(p):
 @pytest.mark.parametrize("m", (5, 8, 25, 49))
 def test_unit_group(m):
     units = unit_group(m)
-    import math
     assert [int(u) for u in units] == [x for x in range(1, m) if math.gcd(x, m) == 1]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclomanin.exactlin import kernel_mod, matmul_mod
+from cyclomanin.exactlin import inv_mod, kernel_mod, matmul_mod
 from cyclomanin.hecke import hecke_apply, merel_set
 from cyclomanin.manin import ManinTable, is_supported_at_infty
 from oracles import (group_algebra_coeffs, hecke_closed_form, hecke_matrix,
@@ -152,7 +152,6 @@ def test_tp_image_leaves_boundary_at_n2_group_algebra():
 
 def _t2_eigen_scale(tab):
     """The scalar s with T_2 tab = s * tab, or None."""
-    from cyclomanin.exactlin import inv_mod
     flat = tab.values.ravel()
     tflat = hecke_apply(tab, 2).values.ravel()
     i = int(np.nonzero(flat)[0][0])

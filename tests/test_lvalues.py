@@ -10,9 +10,9 @@ from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
 from cyclomanin.hecke import merel_set
 from cyclomanin.lvalues import (act_rows, dual_act_matrix, gamma_infty_invariants,
                                 l_values_from_rho, lvalue_identity_report,
-                                poly_act_matrix, twist_eigenvalue_identity)
+                                twist_eigenvalue_identity)
 from oracles import (S, T, boundary_lambda, gamma_infty_kernel, pairing, perfect_pairing,
-                     tp_fixed_point)
+                     poly_act_matrix, tp_fixed_point)
 
 mats = st.tuples(*(st.integers(-6, 6) for _ in range(4)))
 
@@ -61,8 +61,12 @@ def test_poly_action_is_exact_or_refused_at_large_p():
     sigma, r = (3, 5, 7, 12), 10
     p = 100000007
     assert poly_act_matrix(sigma, r, p).tolist() == exact_poly_act(sigma, r, p)
+    got = act_rows(np.eye(r + 1, dtype=np.int64), [sigma], r, p).tolist()
+    assert got == exact_poly_act(sigma, r, p)
     with pytest.raises(ValueError, match="too large"):
         poly_act_matrix(sigma, r, 2147483647)
+    with pytest.raises(ValueError, match="too large"):
+        act_rows(np.eye(r + 1, dtype=np.int64), [sigma], r, 2147483647)
 
 
 def test_poly_action_is_exact_where_the_factored_sum_is_split():
@@ -71,6 +75,8 @@ def test_poly_action_is_exact_where_the_factored_sum_is_split():
     p, r = 1000000007, 4
     for sigma in ((3, 5, 7, 12), (0, 1, -1, 0), (2, p - 1, 5, 0)):
         assert poly_act_matrix(sigma, r, p).tolist() == exact_poly_act(sigma, r, p)
+        got = act_rows(np.eye(r + 1, dtype=np.int64), [sigma], r, p).tolist()
+        assert got == exact_poly_act(sigma, r, p), sigma
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -84,6 +90,8 @@ def test_poly_action_at_degenerate_matrices(p):
     for r in (0, 1, p - 1, p, 2 * p - 4):
         for sigma in sigmas:
             got = poly_act_matrix(sigma, r, p).tolist()
+            assert got == exact_poly_act(sigma, r, p), (sigma, r)
+            got = act_rows(np.eye(r + 1, dtype=np.int64), [sigma], r, p).tolist()
             assert got == exact_poly_act(sigma, r, p), (sigma, r)
 
 
@@ -168,6 +176,8 @@ def test_weight_one_action_by_hand():
     p = 11
     f = [3, 4]                       # 4X + 3Y
     got = matmul_mod(poly_act_matrix((1, 1, 0, 1), 1, p), f, p)
+    assert got.tolist() == [3, (4 - 3) % p]
+    got = matmul_mod(act_rows(np.eye(2, dtype=np.int64), [(1, 1, 0, 1)], 1, p), f, p)
     assert got.tolist() == [3, (4 - 3) % p]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cyclomanin import manin
 from cyclomanin.cyclok2 import build_cyclo_module, e_table
-from cyclomanin.exactlin import kernel_mod, rref_mod, unit_group
+from cyclomanin.exactlin import coords_in_rowspace, kernel_mod, rref_mod, unit_group
 from cyclomanin.manin import (CoeffModule, ManinTable, enumerate_X, image_keys,
                               is_supported_at_infty)
 from oracles import (group_algebra_coeffs, manin_relation_space, power_character_coeffs,
@@ -56,7 +56,6 @@ def test_kernel_members_validate_and_perturbations_fail():
         table_from_flat(module, row).validate()
     bumped = ker[0].copy()
     bumped[0] = (bumped[0] + 1) % 5
-    from cyclomanin.exactlin import coords_in_rowspace
     _, ok = coords_in_rowspace(rref, piv, bumped, 5)
     assert not ok.any()
     with pytest.raises(ValueError):
