@@ -25,8 +25,10 @@ Only these relations are imposed; the module is therefore a cover of
 the actual symbol subgroup, which is the safe direction for verifying
 identities proved from these relations alone.
 
-The quotient is built in two stages.  F1+F2+F3 are an orbit/sign
-canonicalization, computed combinatorially.  F4-F7 are then solved for
+The quotient is built in two stages.  F1+F2+F3 are solved in closed
+form: with a = min(x, p^n - x), b = min(y, p^n - y), (x,y) is 0 if ab = 0
+or a = b, else class (a,b) if a < b and minus class (b,a) if a > b.
+F4-F7 are then solved for
 the annihilator W of their span, one character of a cyclic unit group at
 a time.  Every family is stable under (x,y) -> (lam x, lam y), so a
 vector of one component is one value per orbit of classes, zero on the
@@ -78,32 +80,52 @@ _RELATION_TERMS = {
 }
 
 
-def _f7_families(p, n, gens):
+def _f7_families(p, n, points):
     """F7 as (terms, rows_at), one family per k = v_p(x) < n.
 
     For x = p^k u the row is e(x, y) - sum e(beta, y) over the units
-    beta = u mod p^(n-k).  It is imposed at the pairs (u, y) of gens with
+    beta = u mod p^(n-k).  It is imposed at the pairs (u, y) of points with
     u a unit below p^(n-k); beta is written u (1 + s p^(n-k)) for s < p^k,
     so that every term is a matrix.
     """
-    u = gens[:, 0]
+    u = points[:, 0]
     return [([(1, (p**k, 0, 0, 1))]
              + [(-1, (1 + s * p ** (n - k), 0, 0, 1)) for s in range(p**k)],
-             gens[(u % p != 0) & (u < p ** (n - k))])
+             points[(u % p != 0) & (u < p ** (n - k))])
             for k in range(1, n)]
+
+
+def _symbol_classes(pn):
+    """(class_reps, table): the classes (a, b), 1 <= a < b <= (pn - 1)/2, in lex
+    order, and table[a, b] = class + 1 = -table[b, a], 0 where the symbol dies."""
+    half = (pn - 1) // 2
+    a, b = np.triu_indices(half, 1)
+    table = np.zeros((half + 1, half + 1), dtype=np.int64)
+    table[a + 1, b + 1] = np.arange(1, len(a) + 1)
+    return np.stack([a + 1, b + 1], axis=1), table - table.T
+
+
+def _class_sign(table, keys):
+    """(class, sign) at keys x*pn + y, pn = 2 len(table) - 1; (-1, 0) where a symbol dies."""
+    pn = 2 * len(table) - 1
+    x, y = np.divmod(keys, pn)
+    t = table[np.minimum(x, pn - x), np.minimum(y, pn - y)]
+    return np.abs(t) - 1, np.sign(t)
 
 
 def _build_bytes(p, n, flags):
     """About the peak bytes a build of M_{p,n} with these flags allocates.
 
-    The generator grid and its F1-F3 canonicalization hold about 16 int64
-    arrays of p^2n entries.  The tame systems are charged, as a nonzero
-    W^P falls back to them: each has a row per F4-F7 relation at a point
-    x / p^v(x) = 1 mod p, (p^n - 1)/(p - 1) per y for F4-F6, and a column
-    per tame orbit of the about (p^n - 1)^2 / 8 classes.  A certificate
-    that fails densifies its system, counted once, whole.  Their
-    elimination adds exactlin.system_kernels_bytes.  The whole-group
-    systems are about p^(n-1) times smaller.
+    The grid term, 16 int64 per key x*p^n + y, covers the arrays kept
+    per key and per class: the class table and representatives, the
+    orbit walk and reduce_matrix, about 7 int64 per key from p^n = 121 to
+    691.  The tame systems are charged, as a nonzero W^P falls back to
+    them: each has a row per F4-F7 relation at a point x / p^v(x) = 1
+    mod p, (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit
+    of the about (p^n - 1)^2 / 8 classes.  A certificate that fails
+    densifies its system, counted once, whole.  Their elimination adds
+    exactlin.system_kernels_bytes.  The whole-group systems are about
+    p^(n-1) times smaller.
     """
     pn = p**n
     grid = 16 * pn * pn
@@ -116,10 +138,12 @@ def _build_bytes(p, n, flags):
 class CycloModule:
     """The presented module M_{p,n} with its quotient structure.
 
-    Attributes of note: `gens` lists the (x,y) generator pairs in lex
-    order; `reduce_matrix` maps generator index to quotient coordinates;
-    `dim` is the quotient dimension; `basis_pairs` lists the generator
-    pair representing each quotient basis vector.  The arrays are read-only.
+    Attributes of note: `class_reps` lists the F1-F3 classes as their
+    pairs (a, b), 1 <= a < b <= (p^n - 1)/2, in lex order; `reduce_matrix`
+    maps each key x*p^n + y to the quotient coordinates of
+    {1 - z^x, 1 - z^y}, zero where a slot is 0 or the symbol dies; `dim` is
+    the quotient dimension; `basis_pairs` lists the class pair
+    representing each quotient basis vector.  The arrays are read-only.
 
     The F4-F7 relations are never assembled into one matrix: `_annihilator`
     solves one small kernel per character of a unit group, and
@@ -132,39 +156,18 @@ class CycloModule:
         if n < 1:
             raise ValueError("need n >= 1")
         flags = frozenset(flags if flags is not None else ALL_FLAGS)
+        unknown = sorted(flags - set(ALL_FLAGS))
+        if unknown:
+            raise ValueError(f"unknown relation families {', '.join(unknown)}; use F1-F7")
         if not flags >= {"F1", "F2", "F3", "F4"}:
             raise ValueError("relation families F1-F4 are always required")
         check_memory(_build_bytes(p, n, flags), f"p^n = {p**n}",
-                     "the generator grid and the largest character's relation system")
+                     "the class tables and the largest character's relation system")
         self.p, self.n, self.pn = p, n, p**n
         self.flags = flags
-        pn = self.pn
-        xs, ys = np.divmod(np.arange(pn * pn), pn)
-        keep = (xs != 0) & (ys != 0)
-        self.gens = np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
-        self.gen_index = np.full(pn * pn, -1, dtype=np.int64)
-        self.gen_index[self.gens[:, 0] * pn + self.gens[:, 1]] = np.arange(len(self.gens))
-        self._canonicalize()
+        self.class_reps, self._class_table = _symbol_classes(self.pn)
+        self.n_classes = len(self.class_reps)
         self._reduce()
-
-    # -- stage 1: F1/F2/F3 as an orbit-with-sign canonicalization -----
-
-    def _canonicalize(self):
-        pn, gens = self.pn, self.gens
-        zero = (gens.sum(axis=1) % pn == 0) | (gens[:, 0] == gens[:, 1])
-        signs = [(s, t) for s in (1, -1) for t in (1, -1)]
-        same = np.min([image_keys(gens, pn, (s, 0, 0, t)) for s, t in signs], axis=0)
-        swap = np.min([image_keys(gens, pn, (0, s, t, 0)) for s, t in signs], axis=0)
-        rep = np.minimum(same, swap)
-        sign = np.where(same <= swap, 1, -1)
-        rep[zero] = -1
-        sign[zero] = 0
-        # the sorted distinct keys; np.unique would load numpy.ma
-        live = np.flatnonzero(np.bincount(rep[rep >= 0]))
-        self.class_reps = np.stack([live // pn, live % pn], axis=1)
-        self.n_classes = len(live)
-        self.class_of_gen = np.where(rep >= 0, np.searchsorted(live, rep), -1)
-        self.sign_of_gen = sign.astype(np.int64)
 
     # -- stage 2: F4-F7, one kernel per character of a unit group ------
 
@@ -176,8 +179,8 @@ class CycloModule:
         h^length[c] maps c to stab[c] c.  h^steps = -1 fixes every class,
         so `steps` steps close every orbit.
         """
-        img = self.gen_index[image_keys(self.class_reps, self.pn, (h, 0, 0, h))]
-        h_cls, h_sign = self.class_of_gen[img], self.sign_of_gen[img]
+        h_cls, h_sign = _class_sign(self._class_table,
+                                    image_keys(self.class_reps, self.pn, (h, 0, 0, h)))
         idx = np.arange(self.n_classes)
         cur, sign = idx.copy(), np.ones_like(idx)
         least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
@@ -204,33 +207,32 @@ class CycloModule:
         p, pn, n = self.p, self.pn, self.n
         h = primitive_root(p, n)
         gpow = power_table(h, p - 2, p)                   # g^e for e < p - 1
-        families = [(terms, self.gens) for name, terms in _RELATION_TERMS.items()
-                    if name in self.flags]
-        if "F7" in self.flags:
-            families += _f7_families(p, n, self.gens)
         for wild in dict.fromkeys((p ** (n - 1), 1)):     # the group's p-part
             least, step, sign, length, stab = self._orbits(
                 pow(h, p ** (n - 1) // wild, pn), wild * (p - 1) // 2)
             reps = np.flatnonzero(least == np.arange(self.n_classes))
             orbit = np.searchsorted(reps, least)
             back = -step % (p - 1)                        # c = sign h^back (least)
-            rows, cols, coef, expo = [], [], [], []
-            nrows = 0
+            # the points (x, y), lex, with x / p^v(x) = 1 mod p wild; gcd(x, p^(n-1)) = p^v(x)
+            xs = np.arange(1, pn)
+            xs = xs[xs // np.gcd(xs, p ** (n - 1)) % (p * wild) == 1]
+            points = np.stack([xs.repeat(pn - 1), np.tile(np.arange(1, pn), len(xs))], axis=1)
+            families = [(terms, points) for f, terms in _RELATION_TERMS.items() if f in self.flags]
+            families += _f7_families(p, n, points) if "F7" in self.flags else []
+            rows, cols, coef, expo, nrows = [], [], [], [], 0
             for terms, at in families:
-                # x / p^v(x), as gcd(x, p^(n-1)) = p^v(x)
-                at = at[at[:, 0] // np.gcd(at[:, 0], p ** (n - 1)) % (p * wild) == 1]
-                lookups = [self.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
-                mask = np.logical_and.reduce([gen >= 0 for gen in lookups])
+                keys = [image_keys(at, pn, mat) for _, mat in terms]
+                # a row is imposed where all of its slots are nonzero
+                mask = np.logical_and.reduce([(key >= pn) & (key % pn > 0) for key in keys])
                 ridx = np.arange(nrows, nrows + mask.sum())
                 nrows += len(ridx)
-                for (c, _), gen in zip(terms, lookups):
-                    gen = gen[mask]
-                    cls = self.class_of_gen[gen]
+                for (c, _), key in zip(terms, keys):
+                    cls, sgn = _class_sign(self._class_table, key[mask])
                     ok = cls >= 0
                     cls = cls[ok]
                     rows.append(ridx[ok])
                     cols.append(orbit[cls])
-                    coef.append(c * self.sign_of_gen[gen[ok]] * sign[cls])
+                    coef.append(c * sgn[ok] * sign[cls])
                     expo.append(back[cls])
             rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
             # live[j]: the orbits on which z may be nonzero at character j
@@ -261,39 +263,37 @@ class CycloModule:
     def _reduce(self):
         # class_to_quot.T is the echelon basis of the annihilator whose rows
         # end in a 1 at the free classes: its rref with columns reversed
-        p, nc = self.p, self.n_classes
+        p, pn, nc = self.p, self.pn, self.n_classes
         ech, pivots = rref_mod(self._annihilator()[:, ::-1], p)
         free = nc - 1 - np.array(pivots[::-1], dtype=np.int64)
         self.class_to_quot = np.ascontiguousarray(ech[::-1, ::-1].T)
         self.dim = len(free)
         self.basis_pairs = self.class_reps[free]
-        # generator -> quotient coordinates; sign_of_gen is 0 on killed classes
-        rm = self.class_to_quot[np.maximum(self.class_of_gen, 0)]
-        rm *= self.sign_of_gen[:, None]
-        rm %= p
+        # key -> quotient coordinates: class (a, b) at (+-a, +-b), negated at (+-b, +-a)
+        rm = np.zeros((pn * pn, self.dim), dtype=np.int64)
+        neg = -self.class_to_quot % p
+        for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            rm[image_keys(self.class_reps, pn, (s, 0, 0, t))] = self.class_to_quot
+            rm[image_keys(self.class_reps, pn, (0, t, s, 0))] = neg
         self.reduce_matrix = rm
         # build_cyclo_module hands these out from its cache: a write through
         # one would change every later answer
         for arr in (rm, self.class_to_quot, self.basis_pairs, self.class_reps,
-                    self.gens, self.gen_index, self.class_of_gen, self.sign_of_gen):
+                    self._class_table):
             arr.flags.writeable = False
 
     # -- public API ----------------------------------------------------
 
     def gen_coords(self, x, y):
         """Quotient coordinates of the symbol {1-z^x, 1-z^y} (zero if a slot is 0)."""
-        x, y = int(x) % self.pn, int(y) % self.pn
-        if x == 0 or y == 0:
-            return np.zeros(self.dim, dtype=np.int64)
-        return self.reduce_matrix[self.gen_index[x * self.pn + y]]
+        return self.reduce_matrix[int(x) % self.pn * self.pn + int(y) % self.pn]
 
     def galois_matrix(self, lam):
         """Matrix of sigma_lam on the quotient (diagonal scaling of slots)."""
         lam = int(lam) % self.pn
         if lam % self.p == 0:
             raise ValueError(f"lambda = {lam} is not a unit mod {self.pn}")
-        keys = image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))
-        return self.reduce_matrix[self.gen_index[keys]].T
+        return self.reduce_matrix[image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))].T
 
     def __repr__(self):
         return f"CycloModule(p={self.p}, n={self.n}, dim={self.dim})"
@@ -314,9 +314,8 @@ def quotient_coeffs(module):
 def e_table(module):
     """The raw table (x,y) -> class{1-z^x, 1-z^y} over X_n, unvalidated."""
     points, _ = enumerate_X(module.p, module.n)
-    g = module.gen_index[points[:, 0] * module.pn + points[:, 1]]   # -1 on the axes
     return ManinTable(quotient_coeffs(module),
-                      np.where(g[:, None] >= 0, module.reduce_matrix[g], 0))
+                      module.reduce_matrix[points[:, 0] * module.pn + points[:, 1]])
 
 
 def e_manin(module):
@@ -364,10 +363,9 @@ def xi_class(module, i, k):
     if module.n != 1:
         raise ValueError("xi classes are defined at n = 1")
     p = module.p
-    a = np.arange(1, p, dtype=np.int64)
-    wa = np.array([omega_pow(v, k - i - 1, p) for v in a])
-    wb = np.array([omega_pow(v, i - 1, p) for v in a])
-    # generator grid is exactly (a,b) for units a,b at n=1, lex order
+    # over the p x p keys (a, b); the rows of the axes are zero
+    e = np.array([k - i - 1, i - 1]) % (p - 1)
+    wa, wb = power_table(np.arange(p), int(e.max()), p)[:, e].T
     coeff = np.outer(wa, wb).ravel() % p
     return matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
 

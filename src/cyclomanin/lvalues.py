@@ -199,10 +199,9 @@ def l_values_from_rho(module, rho, k):
     rho = np.asarray(rho, dtype=np.int64) % p
     if rho.shape != (module.dim,):
         raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
-    # rho(class(x,y)) over the unit grid, via the generator reducer; at
-    # n = 1 the generators are the unit pairs (x, y) in lex order
-    grid = matmul_mod(module.reduce_matrix, rho, p)  # one scalar per generator
-    powers = power_table(np.arange(1, p), k - 2, p)  # powers[u - 1, e] = u^e
+    # rho(class(x,y)) over the p x p keys x*p + y; the rows of the axes are zero
+    grid = matmul_mod(module.reduce_matrix, rho, p)
+    powers = power_table(np.arange(p), k - 2, p)  # powers[u, e] = u^e
     vals = {}
     excluded = set()
     for i in range(k - 1):

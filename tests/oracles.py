@@ -1,9 +1,10 @@
 """Reference code the tests check the package against; no verifier path runs it.
 
-Coefficient modules, the Manin relation space and boundary symbols; the
-closed-form and matrix Hecke operators; eigenprojectors of M_{p,1}; the
-weight-r pairings and boundary L-values, on residue arrays with r and p
-passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
+The F1-F3 symbol classes as the least of eight images; coefficient
+modules, the Manin relation space and boundary symbols; the closed-form
+and matrix Hecke operators; eigenprojectors of M_{p,1}; the weight-r
+pairings and boundary L-values, on residue arrays with r and p passed
+explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
 coordinates); the whole W_r and V_r action matrices, built apart from
 lvalues.act_rows; the Gamma_infty invariants, boundary rows and
 level-one space by elimination over full V_r matrices; the level-one
@@ -19,11 +20,39 @@ from cyclomanin.exactlin import (bernoulli_over_k_mod, check_int64_sums, check_w
                                  omega_pow, power_table, rref_mod, unit_group)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
 from cyclomanin.lvalues import _matmul_halves, _substitution, binom_table
-from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X
+from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X, image_keys
 
 S = (0, -1, 1, 0)     # order-4 rotation
 T = (1, 1, 0, 1)      # upper unipotent generator of Gamma_infty
 U = (0, -1, 1, -1)    # order-3 generator, S T^-1
+
+
+def canonical_classes(keys, pn):
+    """F1-F3 by search: (rep, sign) of the symbol at each key x*pn + y.
+
+    rep is the least key among the eight images (+-x, +-y) and (+-y, +-x),
+    and sign is -1 when a swapped image is the least; rep = -1 and
+    sign = 0 where the symbol dies, at a zero slot or at y = +-x.
+    """
+    pairs = np.stack(np.divmod(np.asarray(keys, dtype=np.int64), pn), axis=1)
+    x, y = pairs.T
+    dead = (x == 0) | (y == 0) | ((x + y) % pn == 0) | (x == y)
+    signs = [(s, t) for s in (1, -1) for t in (1, -1)]
+    same = np.min([image_keys(pairs, pn, (s, 0, 0, t)) for s, t in signs], axis=0)
+    swap = np.min([image_keys(pairs, pn, (0, s, t, 0)) for s, t in signs], axis=0)
+    rep = np.where(dead, -1, np.minimum(same, swap))
+    sign = np.where(dead, 0, np.where(same <= swap, 1, -1))
+    return rep, sign
+
+
+def canonical_class_index(pn):
+    """(class_reps, cls, sign) over every key x*pn + y: the classes as
+    pairs, numbered in the order of their least keys, and each key's class
+    (-1 where the symbol dies) and sign."""
+    rep, sign = canonical_classes(np.arange(pn * pn), pn)
+    live = np.unique(rep[rep >= 0])
+    cls = np.where(rep >= 0, np.searchsorted(live, rep), -1)
+    return np.stack(np.divmod(live, pn), axis=1), cls, sign
 
 
 def trivial_coeffs(p, n=1):

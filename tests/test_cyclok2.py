@@ -7,6 +7,9 @@ hecke.CLOSED_FORMS; the oracle types its own closed-form Hecke sums, so
 a transcription slip in either shows up as a dimension or zero-pattern
 mismatch.
 
+The F1-F3 classes the package reads from a closed-form table are checked
+against a search for the least of each key's eight images.
+
 The second oracle is the dense build the package no longer runs: every
 F4-F7 row in canonical-class coordinates, one row reduction, and the
 quotient map read off it.  The package solves one kernel per character
@@ -39,7 +42,7 @@ from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
                                  matmul_mod, quotient_map, rref_mod,
                                  system_kernels, unit_group)
 from cyclomanin.manin import enumerate_X, image_keys, is_supported_at_infty
-from oracles import eigen_projector
+from oracles import canonical_class_index, canonical_classes, eigen_projector
 
 F14 = ("F1", "F2", "F3", "F4")
 
@@ -107,8 +110,41 @@ def oracle_reduce(p, with_t2=True, with_t3=True):
 
 
 def package_zero_pattern(module):
-    grid = module.reduce_matrix
-    return [not grid[i].any() for i in range(grid.shape[0])]
+    # the unit pairs (x, y) in lex order, as oracle_reduce lists them
+    units = np.arange(1, module.p)
+    keys = (units[:, None] * module.p + units).ravel()
+    return [not row.any() for row in module.reduce_matrix[keys]]
+
+
+CLASS_CASES = [(p, 1) for p in range(5, 44) if is_prime(p)] + [(5, 2), (7, 2), (11, 2),
+                                                                 (13, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", CLASS_CASES)
+def test_closed_form_classes_match_the_eight_image_search(p, n):
+    # class and sign at every key x*p^n + y, and the classes in lex order
+    module = build_cyclo_module(p, n)
+    reps, cls, sign = canonical_class_index(module.pn)
+    assert np.array_equal(module.class_reps, reps)
+    got_cls, got_sign = cyclok2._class_sign(module._class_table, np.arange(module.pn ** 2))
+    assert np.array_equal(got_cls, cls)
+    assert np.array_equal(got_sign, sign)
+
+
+@pytest.mark.parametrize("p,n", [(2003, 1), (43, 2)])
+def test_closed_form_classes_on_random_keys(p, n):
+    # no module is built: M_{2003,1} takes most of a minute, and the size
+    # guard refuses 43^2
+    pn = p**n
+    keys = np.random.default_rng(pn).integers(0, pn * pn, size=10**5)
+    rep, sign = canonical_classes(keys, pn)
+    reps, table = cyclok2._symbol_classes(pn)
+    rep_keys = reps[:, 0] * pn + reps[:, 1]
+    assert (np.diff(rep_keys) > 0).all()
+    cls, got_sign = cyclok2._class_sign(table, keys)
+    assert np.array_equal(got_sign, sign)
+    assert np.array_equal(np.where(cls >= 0, rep_keys[cls], -1), rep)
+    assert 0 < (rep < 0).sum() < len(keys)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -128,26 +164,28 @@ def test_reduction_matches_oracle_p37():
 
 
 def dense_class_quotient(module):
-    """(free, class_to_quot) from one row reduction of all F4-F7 rows."""
+    """(free, class_to_quot) from one row reduction of all F4-F7 rows, at
+    every pair of nonzero slots, over the classes of the eight-image search."""
     p, pn = module.p, module.pn
-    families = [(terms, module.gens) for name, terms in _RELATION_TERMS.items()
+    reps, cls_of, sign_of = canonical_class_index(pn)
+    xs, ys = np.divmod(np.arange(pn * pn), pn)
+    points = np.stack([xs, ys], axis=1)[(xs != 0) & (ys != 0)]
+    families = [(terms, points) for name, terms in _RELATION_TERMS.items()
                 if name in module.flags]
     if "F7" in module.flags:
-        families += _f7_families(p, module.n, module.gens)
+        families += _f7_families(p, module.n, points)
     blocks = []
     for terms, at in families:
-        lookups = [module.gen_index[image_keys(at, pn, mat)] for _, mat in terms]
-        mask = np.logical_and.reduce([g >= 0 for g in lookups])
-        block = np.zeros((int(mask.sum()), module.n_classes), dtype=np.int64)
-        for (coeff, _), g in zip(terms, lookups):
-            g = g[mask]
-            cls = module.class_of_gen[g]
+        keys = [image_keys(at, pn, mat) for _, mat in terms]
+        mask = np.logical_and.reduce([(key >= pn) & (key % pn > 0) for key in keys])
+        block = np.zeros((int(mask.sum()), len(reps)), dtype=np.int64)
+        for (coeff, _), key in zip(terms, keys):
+            cls, sign = cls_of[key[mask]], sign_of[key[mask]]
             ok = cls >= 0
-            np.add.at(block, (np.flatnonzero(ok), cls[ok]),
-                      coeff * module.sign_of_gen[g[ok]])
+            np.add.at(block, (np.flatnonzero(ok), cls[ok]), coeff * sign[ok])
         blocks.append(block)
     rref, pivots = rref_mod(np.vstack(blocks), p)
-    return quotient_map(rref, pivots, module.n_classes, p)
+    return quotient_map(rref, pivots, len(reps), p)
 
 
 DENSE_CASES = [(p, 1) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)] \
@@ -163,9 +201,9 @@ def test_character_build_matches_the_dense_reduction(p, n, extra):
     assert np.array_equal(module.class_to_quot, q)
     assert np.array_equal(module.basis_pairs, module.class_reps[free])
     assert module.dim == len(free)
-    rm = np.zeros((len(module.gens), len(free)), dtype=np.int64)
-    ok = module.class_of_gen >= 0
-    rm[ok] = q[module.class_of_gen[ok]] * module.sign_of_gen[ok, None] % p
+    # one row per key x*p^n + y, zero where the symbol dies
+    _, cls, sign = canonical_class_index(module.pn)
+    rm = np.where(cls[:, None] >= 0, q[cls] * sign[:, None] % p, 0)
     assert np.array_equal(module.reduce_matrix, rm)
 
 
@@ -198,11 +236,10 @@ def test_unit_group_kernels_are_the_dual_of_the_coinvariants(p, n, extra, monkey
 
 def orbit_count(module, units):
     """The number of orbits of the classes under scaling by `units`."""
-    least = np.arange(module.n_classes)
+    reps, cls, _ = canonical_class_index(module.pn)
+    least = np.arange(len(reps))
     for lam in units:
-        img = module.gen_index[image_keys(module.class_reps, module.pn,
-                                          (int(lam), 0, 0, int(lam)))]
-        least = np.minimum(least, module.class_of_gen[img])
+        least = np.minimum(least, cls[image_keys(reps, module.pn, (int(lam), 0, 0, int(lam)))])
     return len(set(least.tolist()))
 
 
@@ -270,6 +307,13 @@ def test_module_validates_arguments():
         build_cyclo_module(37, 2)
 
 
+def test_unknown_relation_families_are_refused():
+    # as cli.parse_flags does: a misspelt F5 would otherwise build the
+    # F1-F4 module and still list "f5" in its flags
+    with pytest.raises(ValueError, match="unknown relation families F8, f5"):
+        CycloModule(7, 1, ("F1", "F2", "F3", "F4", "F8", "f5"))
+
+
 @pytest.mark.parametrize("p, n", [(5, 2), (7, 2), (11, 2), (37, 1), (131, 1), (211, 1)])
 def test_build_size_estimate_covers_the_measured_peak(p, n):
     # the size guard refuses a build on this estimate, so it must not
@@ -298,8 +342,8 @@ def test_build_size_estimate_is_pinned():
 
 
 def test_reduce_matrix_is_built_in_place(monkeypatch):
-    # generator -> quotient coordinates at a dim 2 build: beside the result
-    # and class_to_quot, the step may hold one len(gens) index array only
+    # key -> quotient coordinates at a dim 2 build: beside the result and
+    # class_to_quot, the step may hold one index array over the p^2 keys only
     p = 211
     module = CycloModule(p)
     want = module.reduce_matrix.copy()
@@ -316,7 +360,7 @@ def test_reduce_matrix_is_built_in_place(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(module.reduce_matrix, want)
     held = module.reduce_matrix.nbytes + module.class_to_quot.nbytes
-    assert peak <= held + 8 * len(module.gens) + 2**16
+    assert peak <= held + 8 * module.pn ** 2 + 2**16
 
 
 def test_build_is_cached():
@@ -329,8 +373,7 @@ def test_cached_arrays_are_read_only():
     # arrays, so a write through one, such as gen_coords(1, 2) += 1, would
     # change later answers
     module = build_cyclo_module(37)
-    names = ("reduce_matrix", "class_to_quot", "basis_pairs", "class_reps",
-             "gens", "gen_index", "class_of_gen", "sign_of_gen")
+    names = ("reduce_matrix", "class_to_quot", "basis_pairs", "class_reps", "_class_table")
     for arr in [getattr(module, name) for name in names] + [
             module.gen_coords(1, 2), *enumerate_X(37, 1), quotient_coeffs(module).act(2)]:
         with pytest.raises(ValueError, match="read-only"):
