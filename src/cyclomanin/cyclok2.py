@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import (check_memory, check_prime, kernel_mod, matmul_mod, omega_pow,
+from .exactlin import (check_memory, check_prime, check_weight, kernel_mod, matmul_mod,
                        power_table, primitive_root, rref_mod, system_kernels,
                        system_kernels_bytes)
 from .hecke import CLOSED_FORMS, hecke_apply
@@ -357,36 +357,61 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     return rep
 
 
-def xi_class(module, i, k):
-    """Quotient coordinates of xi_i = sum over unit pairs of
-    a^{k-i-1} b^{i-1} {1-z^a, 1-z^b} (n = 1)."""
+def _sigma_stack(module):
+    """(gpow, stack): gpow[e] = g^e mod p, g = primitive_root(p), and
+    stack[e] = galois_matrix(g^e).T, every sigma_a from one gather (n = 1)."""
     if module.n != 1:
-        raise ValueError("xi classes are defined at n = 1")
+        raise ValueError("weight-k sums are defined at n = 1")
     p = module.p
-    # over the p x p keys (a, b); the rows of the axes are zero
-    e = np.array([k - i - 1, i - 1]) % (p - 1)
-    wa, wb = power_table(np.arange(p), int(e.max()), p)[:, e].T
-    coeff = np.outer(wa, wb).ravel() % p
-    return matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
+    gpow = power_table(primitive_root(p), p - 2, p)
+    ab = np.multiply.outer(gpow, module.basis_pairs) % p
+    return gpow, module.reduce_matrix[ab[..., 0] * p + ab[..., 1]]
+
+
+def weight_projector(module, k):
+    """P_k = sum over units a of a^(k-2) sigma_a on the quotient (n = 1).
+
+    Every relation family is stable under scaling, so sigma_a acts on the
+    quotient and {1-z^(ax), 1-z^(ay)} = sigma_a {1-z^x, 1-z^y}.  A sum over
+    unit pairs (a, ta) of a^(k-2) f(t) {1-z^a, 1-z^(ta)} is thus P_k of the
+    sum of f(t) {1-z, 1-z^t} along the x = 1 row; with the slots exchanged,
+    P_k of a sum down the y = 1 column.
+    """
+    p, dim = module.p, module.dim
+    check_weight(k, p)
+    gpow, stack = _sigma_stack(module)
+    w = gpow[np.arange(p - 1) * (k - 2) % (p - 1)]           # a^(k-2) at a = g^e
+    return matmul_mod(w, stack.reshape(p - 1, dim * dim), p).reshape(dim, dim).T
+
+
+def xi_classes(module, k):
+    """Rows xi_1..xi_{k-1} (n = 1), xi_i = sum over unit pairs of a^{k-i-1}
+    b^{i-1} {1-z^a, 1-z^b} = P_k sum_s s^{k-i-1} {1-z^s, 1-z} with a = sb:
+    one weighted sum down the y = 1 column, keys s*p + 1, times P_k."""
+    p, proj = module.p, weight_projector(module, k)
+    column = module.reduce_matrix[np.arange(p) * p + 1]
+    sums = matmul_mod(power_table(np.arange(p), k - 2, p).T[::-1], column, p)
+    return matmul_mod(sums, proj.T, p)
+
+
+def xi_class(module, i, k):
+    """Quotient coordinates of xi_i (n = 1), row i - 1 of xi_classes."""
+    if not 1 <= i < k:
+        raise ValueError(f"need 1 <= i < k, got i={i} at k={k}")
+    return xi_classes(module, k)[i - 1]
 
 
 def rho_basis(module, k):
-    """Basis of functionals rho with rho(sigma_a m) = a^{2-k} rho(m) (n = 1).
-
-    Computed as the left eigenspace of a generator of the Galois action;
-    each row is checked against every sigma_a.  Functionals vanish on
-    the other eigencomponents automatically.
-    """
-    if module.n != 1:
-        raise ValueError("rho functionals need n = 1")
-    p = module.p
-    g = primitive_root(p)
-    target = omega_pow(g, 2 - k, p)
-    mat = module.galois_matrix(g)
-    rows = kernel_mod(mat.T - target * np.eye(module.dim, dtype=np.int64), p)
-    for a in range(2, p):
-        want = omega_pow(a, 2 - k, p)
-        got = matmul_mod(rows, module.galois_matrix(a), p)
-        if not np.array_equal(got, rows * want % p):
-            raise RuntimeError(f"sigma_{a} does not act by {a}^(2-k) on the eigenspace")
+    """Basis of functionals rho with rho(sigma_a m) = a^{2-k} rho(m) (n = 1):
+    the left eigenspace of sigma_g, g a generator, each row checked against
+    every sigma_a in one product.  They vanish on the other eigencomponents."""
+    p, dim = module.p, module.dim
+    gpow, stack = _sigma_stack(module)
+    target = gpow[np.arange(p - 1) * (2 - k) % (p - 1)]      # a^(2-k) at a = g^e
+    rows = kernel_mod(stack[1] - target[1] * np.eye(dim, dtype=np.int64), p)
+    got = matmul_mod(stack.reshape((p - 1) * dim, dim), rows.T, p).reshape(p - 1, dim, len(rows))
+    bad = ((got - target[:, None, None] * rows.T) % p).any(axis=(1, 2))
+    if bad.any():
+        a = int(gpow[bad.argmax()])
+        raise RuntimeError(f"sigma_{a} does not act by {a}^(2-k) on the eigenspace")
     return rows

@@ -200,6 +200,7 @@ def eis_eigenspace(p, k, primes=(2,)):
     """Dimensions of H+_{k,eis,S}: conjugation-fixed parabolic classes with
     T_q eigenvalue 1 + q^(k-1) for q in S."""
     for q in primes:
+        check_prime(q, name="Hecke prime q")
         if q % p == 0:
             raise ValueError("Hecke primes must be away from p")
     space, _, eigenvalues, (nl, nb, _) = _eisenstein_space(p, k, primes)

@@ -9,10 +9,11 @@ applies a sum of them to a block of rows through the Pascal matrix,
 without any (r+1)^2 matrix.  It is the one weight-r action here: the
 level-one relations 1+U+U^2 and the Hecke operators all reach their
 rows through it.  The Gamma_infty invariants have a closed form and are
-written down, not eliminated.  The L-values attached to a functional
-rho on the cyclotomic symbol module are plain finite sums here.  The
-whole action matrices, the pairings, the boundary-symbol L-values
-lam - lam|S, the T_p fixed-point check and the elimination the
+written down, not eliminated.  The L-values of a functional rho on
+M_{p,1} are summed along the x = 1 row, the xi_i that verify-lvalues
+pairs rho with down the y = 1 column (cyclok2.weight_projector).  The
+p^2-key sums, the whole action matrices, the pairings, the boundary
+L-values lam - lam|S, the T_p fixed-point check and the elimination the
 invariants replace are in tests/oracles.py.
 """
 
@@ -20,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclok2 import build_cyclo_module, rho_basis, xi_class
+from .cyclok2 import build_cyclo_module, rho_basis, weight_projector, xi_classes
 from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
-                       inv_mod, matmul_mod, power_table)
+                       inv_mod, matmul_mod, omega_pow, power_table)
 from .reports import CheckReport
 
 @lru_cache(maxsize=4)
@@ -167,23 +168,19 @@ def gamma_infty_invariants(r, p):
 class LValueVector:
     """Special L-values L(psi, j) for j = 1..k-1, with excluded markers.
 
-    values[j] is the scalar (-1)^(j-1) * sum y^(j-1) x^(k-1-j) rho(class(x,y));
-    arguments with (j-1) = 0 or k-2 mod p-1 are not well-defined on the
-    parabolic quotient and land in excluded instead.
+    values[j] is (-1)^(j-1) sum y^(j-1) x^(k-1-j) rho(class(x,y)) over unit
+    pairs, read off the x = 1 row; arguments with (j-1) = 0 or k-2 mod p-1
+    are not well-defined on the parabolic quotient and land in excluded.
     """
 
     def __init__(self, k, p, values, excluded):
-        self.k = k
-        self.p = p
-        self.values = values
-        self.excluded = excluded
+        self.k, self.p, self.values, self.excluded = k, p, values, excluded
         if set(values) | excluded != set(range(1, k)) or set(values) & excluded:
             raise ValueError("values and excluded must partition 1..k-1")
 
     def to_dict(self):
-        out = {str(j): ("excluded" if j in self.excluded else int(self.values[j]))
-               for j in range(1, self.k)}
-        return out
+        return {str(j): ("excluded" if j in self.excluded else int(self.values[j]))
+                for j in range(1, self.k)}
 
 
 def l_values_from_rho(module, rho, k):
@@ -191,37 +188,24 @@ def l_values_from_rho(module, rho, k):
 
     rho is a functional on the quotient (a row of rho_basis).  The value
     at argument i+1 is (-1)^i sum_{x,y units} y^i x^(k-2-i) rho(class(x,y)).
+    With y = tx that is (-1)^i sum_t t^i u[t], u[t] = rho(P_k class(1,t))
+    along the x = 1 row (cyclok2.weight_projector): one product for all i.
     """
-    p = module.p
-    if module.n != 1:
-        raise ValueError("L-value sums are defined at level one")
-    check_weight(k, p)
+    p, proj = module.p, weight_projector(module, k)
     rho = np.asarray(rho, dtype=np.int64) % p
     if rho.shape != (module.dim,):
         raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
-    # rho(class(x,y)) over the p x p keys x*p + y; the rows of the axes are zero
-    grid = matmul_mod(module.reduce_matrix, rho, p)
-    powers = power_table(np.arange(p), k - 2, p)  # powers[u, e] = u^e
-    vals = {}
-    excluded = set()
-    for i in range(k - 1):
-        j = i + 1
-        if i % (p - 1) == 0 or i % (p - 1) == (k - 2) % (p - 1):
-            excluded.add(j)
-            continue
-        weights = np.outer(powers[:, k - 2 - i], powers[:, i]).ravel() % p
-        total = int((weights * grid).sum() % p)
-        if i % 2:
-            total = (p - total) % p
-        vals[j] = total
-    return LValueVector(k, p, vals, excluded)
+    u = matmul_mod(module.reduce_matrix[p:2 * p], matmul_mod(rho, proj, p), p)
+    i = np.arange(k - 1)
+    sums = matmul_mod(power_table(np.arange(p), k - 2, p).T, u, p) * (-1) ** i % p
+    excluded = (i % (p - 1) == 0) | (i % (p - 1) == (k - 2) % (p - 1))
+    return LValueVector(k, p, {j + 1: int(sums[j]) for j in np.flatnonzero(~excluded)},
+                        {int(j) + 1 for j in np.flatnonzero(excluded)})
 
 
 def twist_eigenvalue_identity(q, k, p):
     """q^(k-2) (q + q^(2-k)) = 1 + q^(k-1) in F_p."""
-    lhs = pow(q, k - 2, p) * (q + pow(q, (2 - k) % (p - 1), p)) % p
-    rhs = (1 + pow(q, k - 1, p)) % p
-    return lhs == rhs
+    return pow(q, k - 2, p) * (q + omega_pow(q, 2 - k, p)) % p == (1 + pow(q, k - 1, p)) % p
 
 
 def lvalue_identity_report(p, k, module=None):
@@ -237,26 +221,15 @@ def lvalue_identity_report(p, k, module=None):
     report = CheckReport("verify-lvalues", {"p": p, "k": k})
     rhos = rho_basis(module, k)
     report.add("functional-count", True, {"count": int(rhos.shape[0])})
+    # paired[i - 1, idx] = rho_idx(xi_i), summed down the y = 1 column
+    paired = matmul_mod(xi_classes(module, k), rhos.T, p)
     for idx, rho in enumerate(rhos):
-        lv = l_values_from_rho(module, rho, k)
-        table = {}
-        ok_odd = True
-        for i in range(3, k - 2, 2):
-            if i in lv.excluded:
-                table[i] = "excluded"
-                continue
-            want = int(matmul_mod(xi_class(module, i, k), rho, p))
-            got = lv.values[i]
-            table[i] = got
-            ok_odd = ok_odd and got == want
-        report.add("odd-values-match-xi[rho%d]" % idx, ok_odd,
-                   {str(i): v for i, v in table.items()})
-        evens = {i: lv.values[i] for i in range(2, k - 1, 2)
-                 if i not in lv.excluded}
-        report.add("even-values-zero[rho%d]" % idx,
-                   all(v == 0 for v in evens.values()),
-                   {str(i): v for i, v in evens.items()})
+        lv = l_values_from_rho(module, rho, k).to_dict()
+        odd = {str(i): lv[str(i)] for i in range(3, k - 2, 2)}
+        ok = all(v == "excluded" or v == paired[int(i) - 1, idx] for i, v in odd.items())
+        report.add("odd-values-match-xi[rho%d]" % idx, ok, odd)
+        evens = {str(i): lv[str(i)] for i in range(2, k - 1, 2) if lv[str(i)] != "excluded"}
+        report.add("even-values-zero[rho%d]" % idx, all(v == 0 for v in evens.values()), evens)
     for q in (2, 3):
-        report.add("twist-eigenvalue-q%d" % q,
-                   twist_eigenvalue_identity(q, k, p), {})
+        report.add("twist-eigenvalue-q%d" % q, twist_eigenvalue_identity(q, k, p), {})
     return report

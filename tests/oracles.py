@@ -2,14 +2,15 @@
 
 The F1-F3 symbol classes as the least of eight images; coefficient
 modules, the Manin relation space and boundary symbols; the closed-form
-and matrix Hecke operators; eigenprojectors of M_{p,1}; the weight-r
-pairings and boundary L-values, on residue arrays with r and p passed
-explicitly (W_r in coefficients of X^i Y^(r-i), V_r in lambda
-coordinates); the whole W_r and V_r action matrices, built apart from
-lvalues.act_rows; the Gamma_infty invariants, boundary rows and
-level-one space by elimination over full V_r matrices; the level-one
-Hecke operators summed as full V_r matrices; and the level-one
-q-expansions.
+and matrix Hecke operators; eigenprojectors of M_{p,1}; the xi classes
+and L-values of M_{p,1} summed over all p^2 keys, and its
+eigenfunctionals checked one sigma_a at a time; the weight-r pairings
+and boundary L-values, on residue arrays with r and p passed explicitly
+(W_r in coefficients of X^i Y^(r-i), V_r in lambda coordinates); the
+whole W_r and V_r action matrices, built apart from lvalues.act_rows;
+the Gamma_infty invariants, boundary rows and level-one space by
+elimination over full V_r matrices; the level-one Hecke operators summed
+as full V_r matrices; and the level-one q-expansions.
 """
 
 import numpy as np
@@ -17,9 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclomanin.exactlin import (bernoulli_over_k_mod, check_int64_sums, check_weight,
                                  coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
-                                 omega_pow, power_table, rref_mod, unit_group)
+                                 omega_pow, power_table, primitive_root, rref_mod,
+                                 unit_group)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
-from cyclomanin.lvalues import _matmul_halves, _substitution, binom_table
+from cyclomanin.lvalues import LValueVector, _matmul_halves, _substitution, binom_table
 from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X, image_keys
 
 S = (0, -1, 1, 0)     # order-4 rotation
@@ -206,6 +208,72 @@ def eigen_projector(module, j):
     for a in range(1, p):
         acc = (acc + omega_pow(a, j - 1, p) * module.galois_matrix(a)) % p
     return acc * inv_mod(p - 1, p) % p
+
+
+def xi_class_by_grid(module, i, k):
+    """Quotient coordinates of xi_i = sum over unit pairs of
+    a^{k-i-1} b^{i-1} {1-z^a, 1-z^b} (n = 1)."""
+    if module.n != 1:
+        raise ValueError("xi classes are defined at n = 1")
+    p = module.p
+    # over the p x p keys (a, b); the rows of the axes are zero
+    e = np.array([k - i - 1, i - 1]) % (p - 1)
+    wa, wb = power_table(np.arange(p), int(e.max()), p)[:, e].T
+    coeff = np.outer(wa, wb).ravel() % p
+    return matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
+
+
+def l_values_by_grid(module, rho, k):
+    """L-values of the weight-k symbol obtained from rho on the module.
+
+    rho is a functional on the quotient (a row of rho_basis).  The value
+    at argument i+1 is (-1)^i sum_{x,y units} y^i x^(k-2-i) rho(class(x,y)).
+    """
+    p = module.p
+    if module.n != 1:
+        raise ValueError("L-value sums are defined at level one")
+    check_weight(k, p)
+    rho = np.asarray(rho, dtype=np.int64) % p
+    if rho.shape != (module.dim,):
+        raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
+    # rho(class(x,y)) over the p x p keys x*p + y; the rows of the axes are zero
+    grid = matmul_mod(module.reduce_matrix, rho, p)
+    powers = power_table(np.arange(p), k - 2, p)  # powers[u, e] = u^e
+    vals = {}
+    excluded = set()
+    for i in range(k - 1):
+        j = i + 1
+        if i % (p - 1) == 0 or i % (p - 1) == (k - 2) % (p - 1):
+            excluded.add(j)
+            continue
+        weights = np.outer(powers[:, k - 2 - i], powers[:, i]).ravel() % p
+        total = int((weights * grid).sum() % p)
+        if i % 2:
+            total = (p - total) % p
+        vals[j] = total
+    return LValueVector(k, p, vals, excluded)
+
+
+def rho_basis_by_loop(module, k):
+    """Basis of functionals rho with rho(sigma_a m) = a^{2-k} rho(m) (n = 1).
+
+    Computed as the left eigenspace of a generator of the Galois action;
+    each row is checked against every sigma_a.  Functionals vanish on
+    the other eigencomponents automatically.
+    """
+    if module.n != 1:
+        raise ValueError("rho functionals need n = 1")
+    p = module.p
+    g = primitive_root(p)
+    target = omega_pow(g, 2 - k, p)
+    mat = module.galois_matrix(g)
+    rows = kernel_mod(mat.T - target * np.eye(module.dim, dtype=np.int64), p)
+    for a in range(2, p):
+        want = omega_pow(a, 2 - k, p)
+        got = matmul_mod(rows, module.galois_matrix(a), p)
+        if not np.array_equal(got, rows * want % p):
+            raise RuntimeError(f"sigma_{a} does not act by {a}^(2-k) on the eigenspace")
+    return rows
 
 
 def _weight_r(r, p, *vecs):

@@ -216,6 +216,16 @@ def test_malformed_lists_name_their_option_and_its_forms(capsys, argv, form):
     assert argv[-2] in message and form in message, message
 
 
+def test_eis_dim_names_a_composite_hecke_index_before_its_residue(capsys):
+    # 74 = 0 mod 37, but what is wrong with it is that it is not prime
+    with pytest.raises(SystemExit) as err:
+        main(["eis-dim", "--p", "37", "--k", "32", "--primes", "74"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "must be a prime" in message and "74" in message, message
+    assert "away from p" not in message, message
+
+
 def test_eis_dim_names_the_int64_bound(capsys):
     with pytest.raises(SystemExit) as err:
         main(["eis-dim", "--p", "2147483647", "--k", "12"])

@@ -514,6 +514,17 @@ def test_xi_classes_are_antisymmetric_in_the_weight():
     assert xi_class(module, 3, k).any()
 
 
+def test_xi_class_refuses_bad_weights_and_indices():
+    # odd k, k >= 2p and k < 2 as l_values_from_rho refuses them, and i
+    # outside 1..k-1
+    module = build_cyclo_module(37)
+    for i, k in ((3, 5), (0, 32), (40, 32), (3, 80), (32, 32), (-1, 32), (1, 0)):
+        with pytest.raises(ValueError):
+            xi_class(module, i, k)
+    with pytest.raises(ValueError, match="n = 1"):
+        xi_class(build_cyclo_module(5, 2), 1, 4)
+
+
 def test_f6_rows_regression_value():
     # dim drops to 0 everywhere if any F6 term goes missing; pin one row
     # numerically through the quotient instead of through the term list

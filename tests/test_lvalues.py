@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomanin.cyclok2 import build_cyclo_module, rho_basis, xi_class
+from cyclomanin.cyclok2 import (ALL_FLAGS, build_cyclo_module, rho_basis, weight_projector,
+                                xi_class, xi_classes)
 from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
 from cyclomanin.hecke import merel_set
 from cyclomanin.lvalues import (act_rows, dual_act_matrix, gamma_infty_invariants,
                                 l_values_from_rho, lvalue_identity_report,
                                 twist_eigenvalue_identity)
-from oracles import (S, T, boundary_lambda, gamma_infty_kernel, pairing, perfect_pairing,
-                     poly_act_matrix, tp_fixed_point)
+from oracles import (S, T, boundary_lambda, eigen_projector, gamma_infty_kernel,
+                     l_values_by_grid, pairing, perfect_pairing, poly_act_matrix,
+                     rho_basis_by_loop, tp_fixed_point, xi_class_by_grid)
 
 mats = st.tuples(*(st.integers(-6, 6) for _ in range(4)))
 
@@ -354,6 +356,59 @@ def test_lvalue_vector_serialization():
     assert set(d) == {str(j) for j in range(1, 32)}
     assert d["1"] == d["31"] == "excluded"
     assert d["3"] == 14
+
+
+def functionals(module, k, seed):
+    """Each rho_basis row, and two random functionals, which at dim > 1 are
+    in general eigenfunctionals of no sigma_a."""
+    rng = np.random.default_rng(seed)
+    return list(rho_basis(module, k)) + list(rng.integers(0, module.p, (2, module.dim)))
+
+
+def check_weight_sums(module, k, seed):
+    """The x = 1 row and y = 1 column sums against the p^2-key grid sums, at every i."""
+    xi = xi_classes(module, k)
+    assert xi.shape == (k - 1, module.dim)
+    for i in range(1, k):
+        want = xi_class_by_grid(module, i, k)
+        assert np.array_equal(xi[i - 1], want), (module, k, i)
+        assert np.array_equal(xi_class(module, i, k), want), (module, k, i)
+    for rho in functionals(module, k, seed):
+        got, want = l_values_from_rho(module, rho, k), l_values_by_grid(module, rho, k)
+        assert (got.values, got.excluded) == (want.values, want.excluded), (module, k)
+
+
+@pytest.mark.parametrize("flags", (ALL_FLAGS, ("F1", "F2", "F3", "F4")))
+def test_weight_sums_match_the_key_grid_at_every_weight_of_37(flags):
+    # full flags (dim 1) and F1-F4 (dim 57, where sigma_a has many eigenvalues)
+    module = build_cyclo_module(37, 1, flags)
+    for k in range(2, 74, 2):
+        check_weight_sums(module, k, k)
+
+
+@pytest.mark.parametrize("p,k", ((73, 20), (139, 70), (157, 62), (211, 106)))
+def test_weight_sums_match_the_key_grid_at_larger_primes(p, k):
+    # 139 and 211 at the weights of their extra lines, 157 at an irregular
+    # pair with a second line at k = 110, 73 at a weight with no functional
+    check_weight_sums(build_cyclo_module(p), k, p)
+
+
+@pytest.mark.parametrize("p,flags", ((37, ALL_FLAGS), (37, ("F1", "F2", "F3", "F4")),
+                                     (73, ALL_FLAGS), (157, ALL_FLAGS), (211, ALL_FLAGS)))
+def test_rho_basis_matches_the_check_one_sigma_at_a_time(p, flags):
+    module = build_cyclo_module(p, 1, flags)
+    for k in range(2, 2 * p, 2):
+        assert np.array_equal(rho_basis(module, k), rho_basis_by_loop(module, k)), (p, k)
+
+
+def test_weight_projector_is_minus_the_eigenprojector():
+    # sum over a of a^(k-2) sigma_a is (p - 1) = -1 times the idempotent onto
+    # the component where sigma_a acts by a^(2-k)
+    module = build_cyclo_module(37, 1, ("F1", "F2", "F3", "F4"))
+    for k in range(2, 74, 2):
+        proj = weight_projector(module, k)
+        assert np.array_equal(proj, -eigen_projector(module, k - 1) % 37), k
+        assert np.array_equal(matmul_mod(proj, proj, 37), -proj % 37), k
 
 
 def test_lvalue_identity_report_is_non_vacuous_at_37_32():
