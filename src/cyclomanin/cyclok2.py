@@ -28,12 +28,14 @@ identities proved from these relations alone.
 The quotient is built in two stages.  F1+F2+F3 are solved in closed
 form: with a = min(x, p^n - x), b = min(y, p^n - y), (x,y) is 0 if ab = 0
 or a = b, else class (a,b) if a < b and minus class (b,a) if a > b.
-F4-F7 are then solved for
-the annihilator W of their span, one character of a cyclic unit group at
-a time.  Every family is stable under (x,y) -> (lam x, lam y), so a
-vector of one component is one value per orbit of classes, zero on the
-orbits whose stabiliser sign the character contradicts, and satisfies
-every relation once it satisfies those at one point per orbit.  At
+F4-F7 are then solved for the annihilator W of their span, one
+character of a cyclic unit group at a time.  Every family is stable
+under (x,y) -> (lam x, lam y), so a vector of one component is one
+value per orbit of classes, zero on the orbits whose stabiliser sign
+the character contradicts, and satisfies every relation once it
+satisfies those at one point per orbit.  The orbits need no search: one
+discrete-log table mod p^n scales each class at a slot of least
+valuation x = p^v u to p^v times 1 mod p, and that image labels it.  At
 n >= 2 the whole unit group goes first.  Its components span W^P, the
 invariants of the p-group P = 1 + pZ, and W^P = 0 proves W = 0 (Serre,
 Linear Representations of Finite Groups, ch. 8).  Otherwise, and at
@@ -113,13 +115,44 @@ def _class_sign(table, keys):
     return np.abs(t) - 1, np.sign(t)
 
 
+def _orbit_labels(table, p, n, wild):
+    """(orbit, sign, back, live): the classes of `table` as orbits of the unit group
+    of p-part `wild`, generated by t = h^(p^(n-1)/wild), h = primitive_root(p, n).
+
+    lam[x] = t^(-log_h u) scales x = p^v u to p^v (1 mod p wild).  Each class
+    of an orbit, so scaled at a slot of least valuation, gives the same one or
+    two candidates; the least labels the orbit, orbit[c] is its index, and
+    c = sign[c] t^back[c] (label) up to the p-part.  live[j, o]: t -> g^j,
+    g = h mod p, agrees with o's stabiliser signs: j is even (-1 fixes all),
+    and if the candidates are equal, g^(j (unit[b] - unit[a])) = sa sb.
+    """
+    pn, phi, x = p**n, p ** (n - 1) * (p - 1), np.arange(p**n)
+    hpow = power_table(primitive_root(p, n), phi - 1, pn)
+    dlog = np.zeros(pn, dtype=np.int64)
+    dlog[hpow] = np.arange(phi)
+    scale = np.gcd(x, p ** (n - 1))                              # p^v(x)
+    unit = dlog[x // scale]
+    lam = hpow[-unit * (p ** (n - 1) // wild) % phi]
+    a, b = np.nonzero(table > 0)                                 # the classes, in order
+    ca, sa = _class_sign(table, lam[a] * a % pn * pn + lam[a] * b % pn)
+    cb, sb = _class_sign(table, lam[b] * a % pn * pn + lam[b] * b % pn)
+    use_b = np.where(scale[b] <= scale[a], cb, len(a)) < np.where(scale[a] <= scale[b], ca, len(a))
+    label = np.where(use_b, cb, ca)
+    reps = np.flatnonzero(label == np.arange(len(a)))
+    fixed = ((scale[a] == scale[b]) & (ca == cb))[reps]
+    js = np.arange(p - 1)[:, None]
+    stab = hpow[js * (unit[b] - unit[a])[reps] % (p - 1)] % p == (sa * sb)[reps] % p
+    return (np.searchsorted(reps, label), np.where(use_b, sb, sa),
+            np.where(use_b, unit[b], unit[a]) % (p - 1), (js % 2 == 0) & (~fixed | stab))
+
+
 def _build_bytes(p, n, flags):
     """About the peak bytes a build of M_{p,n} with these flags allocates.
 
-    The grid term, 16 int64 per key x*p^n + y, covers the arrays kept
-    per key and per class: the class table and representatives, the
-    orbit walk and reduce_matrix, about 7 int64 per key from p^n = 121 to
-    691.  The tame systems are charged, as a nonzero W^P falls back to
+    The grid term, 16 int64 per key x*p^n + y, covers the class table
+    and representatives, the orbit labels and reduce_matrix; a build's
+    measured peak is 5.9-7.0 int64 per key at p^n = 211, 691, 11^2 and
+    13^2.  The tame systems are charged, as a nonzero W^P falls back to
     them: each has a row per F4-F7 relation at a point x / p^v(x) = 1
     mod p, (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit
     of the about (p^n - 1)^2 / 8 classes.  A certificate that fails
@@ -171,48 +204,20 @@ class CycloModule:
 
     # -- stage 2: F4-F7, one kernel per character of a unit group ------
 
-    def _orbits(self, h, steps):
-        """The classes as orbits of sigma_h, a signed permutation.
-
-        Returns (least, step, sign, length, stab), per class c: h^step[c]
-        maps c to sign[c] least[c], the least class of its orbit, and
-        h^length[c] maps c to stab[c] c.  h^steps = -1 fixes every class,
-        so `steps` steps close every orbit.
-        """
-        h_cls, h_sign = _class_sign(self._class_table,
-                                    image_keys(self.class_reps, self.pn, (h, 0, 0, h)))
-        idx = np.arange(self.n_classes)
-        cur, sign = idx.copy(), np.ones_like(idx)
-        least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
-        length, stab = np.zeros_like(idx), sign.copy()
-        for e in range(1, steps + 1):
-            sign = sign * h_sign[cur]
-            cur = h_cls[cur]
-            lower = cur < least
-            least[lower], step[lower], least_sign[lower] = cur[lower], e, sign[lower]
-            home = (cur == idx) & (length == 0)
-            length[home], stab[home] = e, sign[home]
-        return least, step, least_sign, length, stab
-
     def _annihilator(self):
         """Basis rows, in class coordinates, of the annihilator W of the F4-F7 span.
 
         The group is generated by h = primitive_root(p, n), then, if the
         kernels are not all empty, by t = h^(p^(n-1)); at n = 1, h = t.  A
         vector of the g^j component, g = h mod p, is w[c] = sign[c]
-        g^(-j step[c]) z[orbit of c], with z zero on the orbits where
-        g^(j length) is not the stabiliser sign.  The relations are rows
+        g^(j back[c]) z[orbit[c]] with the labels of _orbit_labels, and z
+        zero on the orbits that are not live at j.  The relations are rows
         over z at the x with x / p^v(x) = 1 mod p times the group's p-part.
         """
         p, pn, n = self.p, self.pn, self.n
-        h = primitive_root(p, n)
-        gpow = power_table(h, p - 2, p)                   # g^e for e < p - 1
+        gpow = power_table(primitive_root(p), p - 2, p)   # g^e for e < p - 1
         for wild in dict.fromkeys((p ** (n - 1), 1)):     # the group's p-part
-            least, step, sign, length, stab = self._orbits(
-                pow(h, p ** (n - 1) // wild, pn), wild * (p - 1) // 2)
-            reps = np.flatnonzero(least == np.arange(self.n_classes))
-            orbit = np.searchsorted(reps, least)
-            back = -step % (p - 1)                        # c = sign h^back (least)
+            orbit, sign, back, live = _orbit_labels(self._class_table, p, n, wild)
             # the points (x, y), lex, with x / p^v(x) = 1 mod p wild; gcd(x, p^(n-1)) = p^v(x)
             xs = np.arange(1, pn)
             xs = xs[xs // np.gcd(xs, p ** (n - 1)) % (p * wild) == 1]
@@ -235,8 +240,6 @@ class CycloModule:
                     coef.append(c * sgn[ok] * sign[cls])
                     expo.append(back[cls])
             rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
-            # live[j]: the orbits on which z may be nonzero at character j
-            live = gpow[np.outer(np.arange(p - 1), length[reps]) % (p - 1)] == stab[reps] % p
 
             def system(j):
                 # the triplets of the relations over the live orbits at j
@@ -248,12 +251,9 @@ class CycloModule:
             js = [j for j in range(p - 1) if live[j].any()]
             kernels = system_kernels(system, js, p)
             parts = [np.zeros((0, self.n_classes), dtype=np.int64)]
-            for j in js:
-                ker = kernels[j]
-                if not len(ker):
-                    continue
-                z = np.zeros((len(ker), len(reps)), dtype=np.int64)
-                z[:, live[j]] = ker
+            for j in [j for j in js if len(kernels[j])]:
+                z = np.zeros((len(kernels[j]), live.shape[1]), dtype=np.int64)
+                z[:, live[j]] = kernels[j]
                 parts.append(z[:, orbit] * (sign * gpow[j * back % (p - 1)]) % p)
             ann = np.concatenate(parts)
             if not len(ann):

@@ -4,7 +4,9 @@ The F1-F3 symbol classes as the least of eight images; coefficient
 modules, the Manin relation space and boundary symbols; the closed-form
 and matrix Hecke operators; eigenprojectors of M_{p,1}; the xi classes
 and L-values of M_{p,1} summed over all p^2 keys, and its
-eigenfunctionals checked one sigma_a at a time; the weight-r pairings
+eigenfunctionals checked one sigma_a at a time; the orbits of the
+classes under a unit group, found by walking every class around its
+orbit; the weight-r pairings
 and boundary L-values, on residue arrays with r and p passed explicitly
 (W_r in coefficients of X^i Y^(r-i), V_r in lambda coordinates); the
 whole W_r and V_r action matrices, built apart from lvalues.act_rows;
@@ -16,6 +18,7 @@ as full V_r matrices; and the level-one q-expansions.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cyclomanin.cyclok2 import _class_sign
 from cyclomanin.exactlin import (bernoulli_over_k_mod, check_int64_sums, check_weight,
                                  coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
                                  omega_pow, power_table, primitive_root, rref_mod,
@@ -275,6 +278,30 @@ def rho_basis_by_loop(module, k):
             raise RuntimeError(f"sigma_{a} does not act by {a}^(2-k) on the eigenspace")
     return rows
 
+
+def orbits_by_walk(module, h, steps, start=None):
+    """The classes as orbits of sigma_h, a signed permutation.
+
+    Returns (least, step, sign, length, stab), per class c: h^step[c]
+    maps c to sign[c] least[c], the least class of its orbit, and
+    h^length[c] maps c to stab[c] c.  h^steps = -1 fixes every class,
+    so `steps` steps close every orbit.  Every class is walked, or only
+    the classes `start`, each array then holding one entry per start.
+    """
+    h_cls, h_sign = _class_sign(module._class_table,
+                                image_keys(module.class_reps, module.pn, (h, 0, 0, h)))
+    idx = np.arange(module.n_classes) if start is None else start
+    cur, sign = idx.copy(), np.ones_like(idx)
+    least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
+    length, stab = np.zeros_like(idx), sign.copy()
+    for e in range(1, steps + 1):
+        sign = sign * h_sign[cur]
+        cur = h_cls[cur]
+        lower = cur < least
+        least[lower], step[lower], least_sign[lower] = cur[lower], e, sign[lower]
+        home = (cur == idx) & (length == 0)
+        length[home], stab[home] = e, sign[home]
+    return least, step, least_sign, length, stab
 
 def _weight_r(r, p, *vecs):
     # the vectors as residues of W_r or V_r, each with r + 1 coordinates

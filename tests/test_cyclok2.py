@@ -29,6 +29,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,10 +40,12 @@ from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, CycloModule,
                                 e_table, quotient_coeffs, rho_basis,
                                 verify_hecke_eigenvalue, xi_class)
 from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
-                                 matmul_mod, quotient_map, rref_mod,
-                                 system_kernels, unit_group)
+                                 matmul_mod, power_table, primitive_root,
+                                 quotient_map, rref_mod, system_kernels,
+                                 unit_group)
 from cyclomanin.manin import enumerate_X, image_keys, is_supported_at_infty
-from oracles import canonical_class_index, canonical_classes, eigen_projector
+from oracles import (canonical_class_index, canonical_classes, eigen_projector,
+                     orbits_by_walk)
 
 F14 = ("F1", "F2", "F3", "F4")
 
@@ -145,6 +148,65 @@ def test_closed_form_classes_on_random_keys(p, n):
     assert np.array_equal(got_sign, sign)
     assert np.array_equal(np.where(cls >= 0, rep_keys[cls], -1), rep)
     assert 0 < (rep < 0).sum() < len(keys)
+
+
+def stages(p, n):
+    """(wild, t, steps) per stage of the build: the group of p-part wild is
+    generated by t, and t^steps = -1."""
+    h = primitive_root(p, n)
+    return [(wild, pow(h, p ** (n - 1) // wild, p**n), wild * (p - 1) // 2)
+            for wild in dict.fromkeys((p ** (n - 1), 1))]
+
+
+def check_orbit_labels(p, labels, members, walk):
+    """Compare the closed-form labels at the classes `members` with the walk
+    of the same classes, each orbit through its first member; returns the
+    live characters per member."""
+    orbit, sign, back, live = labels
+    least, step, wsign, length, stab = walk
+    firsts = np.unique(orbit[members], return_index=True)[1]
+    first = np.searchsorted(orbit[members][firsts], orbit[members])
+    # the same partition: one least class per label, and no two labels share one
+    assert np.array_equal(least, least[firsts][first])
+    assert len(set(least[firsts].tolist())) == len(firsts)
+    # the same live characters: g^(j length) is the stabiliser sign
+    gpow = power_table(primitive_root(p), p - 2, p)
+    js = np.arange(p - 1)[:, None]
+    live_c = live[:, orbit[members]]
+    assert np.array_equal(live_c, gpow[js * length % (p - 1)] == stab % p)
+    # each live lift sign[c] g^(j back[c]) is a multiple of the walk's
+    # wsign[c] g^(-j step[c]); their ratio is constant on each orbit
+    ratio = sign[members] * wsign * gpow[js * (back[members] + step) % (p - 1)] % p
+    assert ((ratio == ratio[:, firsts][:, first]) | ~live_c).all()
+    return live_c
+
+
+@pytest.mark.parametrize("p,n", CLASS_CASES)
+def test_orbit_labels_match_the_walk(p, n):
+    # both stages, every class: at p = 1 mod 4 some orbits are fixed by a
+    # swap t^m (a, b) = +-(b, a), and the characters that contradict its
+    # sign must be dead there
+    module = build_cyclo_module(p, n)
+    for wild, t, steps in stages(p, n):
+        labels = cyclok2._orbit_labels(module._class_table, p, n, wild)
+        live = check_orbit_labels(p, labels, np.arange(module.n_classes),
+                                  orbits_by_walk(module, t, steps))
+        assert labels[3].shape[1] == len(set(labels[0].tolist()))
+        assert live[1::2].sum() == 0 and live[::2].any()
+
+
+@pytest.mark.parametrize("p,n", [(2003, 1), (43, 2)])
+def test_orbit_labels_on_random_classes(p, n):
+    # no module is built: 10^4 random classes, and the first class of every
+    # orbit, are walked alone, at each stage
+    reps, table = cyclok2._symbol_classes(p**n)
+    classes = SimpleNamespace(_class_table=table, class_reps=reps, pn=p**n,
+                              n_classes=len(reps))
+    sample = np.random.default_rng(p**n).integers(0, len(reps), size=10**4)
+    for wild, t, steps in stages(p, n):
+        labels = cyclok2._orbit_labels(table, p, n, wild)
+        members = np.concatenate([np.unique(labels[0], return_index=True)[1], sample])
+        check_orbit_labels(p, labels, members, orbits_by_walk(classes, t, steps, members))
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
