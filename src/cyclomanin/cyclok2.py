@@ -59,8 +59,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exactlin import (check_memory, check_prime, check_weight, kernel_mod, matmul_mod,
-                       power_table, primitive_root, rref_mod, system_kernels,
-                       system_kernels_bytes)
+                       power_table, rref_mod, system_kernels, system_kernels_bytes,
+                       unit_logs)
 from .hecke import CLOSED_FORMS, hecke_apply
 from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
 from .reports import CheckReport
@@ -117,7 +117,7 @@ def _class_sign(table, keys):
 
 def _orbit_labels(table, p, n, wild):
     """(orbit, sign, back, live): the classes of `table` as orbits of the unit group
-    of p-part `wild`, generated by t = h^(p^(n-1)/wild), h = primitive_root(p, n).
+    of p-part `wild`, generated by t = h^(p^(n-1)/wild), h = unit_logs' generator.
 
     lam[x] = t^(-log_h u) scales x = p^v u to p^v (1 mod p wild).  Each class
     of an orbit, so scaled at a slot of least valuation, gives the same one or
@@ -127,9 +127,7 @@ def _orbit_labels(table, p, n, wild):
     and if the candidates are equal, g^(j (unit[b] - unit[a])) = sa sb.
     """
     pn, phi, x = p**n, p ** (n - 1) * (p - 1), np.arange(p**n)
-    hpow = power_table(primitive_root(p, n), phi - 1, pn)
-    dlog = np.zeros(pn, dtype=np.int64)
-    dlog[hpow] = np.arange(phi)
+    hpow, dlog = unit_logs(p, n)
     scale = np.gcd(x, p ** (n - 1))                              # p^v(x)
     unit = dlog[x // scale]
     lam = hpow[-unit * (p ** (n - 1) // wild) % phi]
@@ -207,15 +205,15 @@ class CycloModule:
     def _annihilator(self):
         """Basis rows, in class coordinates, of the annihilator W of the F4-F7 span.
 
-        The group is generated by h = primitive_root(p, n), then, if the
-        kernels are not all empty, by t = h^(p^(n-1)); at n = 1, h = t.  A
-        vector of the g^j component, g = h mod p, is w[c] = sign[c]
+        The group is generated by h, the generator of unit_logs(p, n), then,
+        if the kernels are not all empty, by t = h^(p^(n-1)); at n = 1, h = t.
+        A vector of the g^j component, g = h mod p, is w[c] = sign[c]
         g^(j back[c]) z[orbit[c]] with the labels of _orbit_labels, and z
         zero on the orbits that are not live at j.  The relations are rows
         over z at the x with x / p^v(x) = 1 mod p times the group's p-part.
         """
         p, pn, n = self.p, self.pn, self.n
-        gpow = power_table(primitive_root(p), p - 2, p)   # g^e for e < p - 1
+        gpow = unit_logs(p, n)[0][:p - 1] % p             # g^e for e < p - 1
         for wild in dict.fromkeys((p ** (n - 1), 1)):     # the group's p-part
             orbit, sign, back, live = _orbit_labels(self._class_table, p, n, wild)
             # the points (x, y), lex, with x / p^v(x) = 1 mod p wild; gcd(x, p^(n-1)) = p^v(x)
@@ -288,12 +286,16 @@ class CycloModule:
         """Quotient coordinates of the symbol {1-z^x, 1-z^y} (zero if a slot is 0)."""
         return self.reduce_matrix[int(x) % self.pn * self.pn + int(y) % self.pn]
 
+    def galois_rows(self, lams):
+        """galois_matrix(lam).T at each unit lam of an array, by one gather."""
+        lam = np.asarray(lams, dtype=np.int64)[:, None] % self.pn
+        if (lam % self.p == 0).any():
+            raise ValueError(f"lambda = {lam[lam % self.p == 0][0]} is not a unit mod {self.pn}")
+        return self.reduce_matrix[image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))]
+
     def galois_matrix(self, lam):
-        """Matrix of sigma_lam on the quotient (diagonal scaling of slots)."""
-        lam = int(lam) % self.pn
-        if lam % self.p == 0:
-            raise ValueError(f"lambda = {lam} is not a unit mod {self.pn}")
-        return self.reduce_matrix[image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))].T
+        """Matrix of sigma_lam on the quotient: galois_rows at one unit, transposed."""
+        return self.galois_rows([int(lam)])[0].T
 
     def __repr__(self):
         return f"CycloModule(p={self.p}, n={self.n}, dim={self.dim})"
@@ -306,8 +308,9 @@ def build_cyclo_module(p, n=1, flags=ALL_FLAGS):
 
 
 def quotient_coeffs(module):
-    """The quotient as a Manin coefficient module with the Artin-type action."""
-    return CoeffModule(module.p, module.n, module.dim, module.galois_matrix,
+    """The quotient as a Manin coefficient module with the Artin-type action;
+    its phi(p^n) dim^2 entries are gathered anew, not cached on `module`."""
+    return CoeffModule(module.p, module.n, module.galois_rows(unit_logs(module.p, module.n)[0]),
                        f"cyclo(p={module.p},n={module.n})")
 
 
@@ -338,8 +341,7 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
             raise ValueError(f"Hecke index q = {q} must differ from p")
     rep = CheckReport("verify-hecke", {"p": module.p, "n": module.n})
     e = e_manin(module)
-    pn = module.pn
-    off_axis = (e.points[:, 0] * e.points[:, 1]) % pn != 0
+    off_axis = (e.points[:, 0] * e.points[:, 1]) % module.pn != 0
     for q in qs:
         te = hecke_apply(e, q)
         chi_q = module.galois_matrix(q)
@@ -357,17 +359,6 @@ def verify_hecke_eigenvalue(module, qs=(2, 3)):
     return rep
 
 
-def _sigma_stack(module):
-    """(gpow, stack): gpow[e] = g^e mod p, g = primitive_root(p), and
-    stack[e] = galois_matrix(g^e).T, every sigma_a from one gather (n = 1)."""
-    if module.n != 1:
-        raise ValueError("weight-k sums are defined at n = 1")
-    p = module.p
-    gpow = power_table(primitive_root(p), p - 2, p)
-    ab = np.multiply.outer(gpow, module.basis_pairs) % p
-    return gpow, module.reduce_matrix[ab[..., 0] * p + ab[..., 1]]
-
-
 def weight_projector(module, k):
     """P_k = sum over units a of a^(k-2) sigma_a on the quotient (n = 1).
 
@@ -379,9 +370,11 @@ def weight_projector(module, k):
     """
     p, dim = module.p, module.dim
     check_weight(k, p)
-    gpow, stack = _sigma_stack(module)
+    if module.n != 1:
+        raise ValueError("weight-k sums are defined at n = 1")
+    gpow = unit_logs(p)[0]
     w = gpow[np.arange(p - 1) * (k - 2) % (p - 1)]           # a^(k-2) at a = g^e
-    return matmul_mod(w, stack.reshape(p - 1, dim * dim), p).reshape(dim, dim).T
+    return matmul_mod(w, module.galois_rows(gpow).reshape(p - 1, -1), p).reshape(dim, dim).T
 
 
 def xi_classes(module, k):
@@ -406,7 +399,10 @@ def rho_basis(module, k):
     the left eigenspace of sigma_g, g a generator, each row checked against
     every sigma_a in one product.  They vanish on the other eigencomponents."""
     p, dim = module.p, module.dim
-    gpow, stack = _sigma_stack(module)
+    if module.n != 1:
+        raise ValueError("weight-k sums are defined at n = 1")
+    gpow = unit_logs(p)[0]
+    stack = module.galois_rows(gpow)                         # stack[e] = sigma_(g^e).T
     target = gpow[np.arange(p - 1) * (2 - k) % (p - 1)]      # a^(2-k) at a = g^e
     rows = kernel_mod(stack[1] - target[1] * np.eye(dim, dtype=np.int64), p)
     got = matmul_mod(stack.reshape((p - 1) * dim, dim), rows.T, p).reshape(p - 1, dim, len(rows))

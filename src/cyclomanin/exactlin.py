@@ -470,6 +470,20 @@ def primitive_root(p, n=1):
     raise ValueError(f"no primitive root mod {p}")
 
 
+@lru_cache(maxsize=None)
+def unit_logs(p, n=1):
+    """(hpow, log): hpow[e] = h^e mod p^n, e < phi(p^n), h = primitive_root(p, n), and
+    log[hpow[e]] = e, 0 at non-units; raises unless h generates.  Cached, so read-only."""
+    pn, phi = p**n, p ** (n - 1) * (p - 1)
+    hpow = power_table(primitive_root(p, n), phi - 1, pn)
+    log = np.zeros(pn, dtype=np.int64)
+    log[hpow] = np.arange(phi)
+    if not np.array_equal(log[hpow], np.arange(phi)):
+        raise RuntimeError(f"{hpow[1]} does not generate the units mod {pn}")
+    hpow.flags.writeable = log.flags.writeable = False
+    return hpow, log
+
+
 def omega_pow(a, j, p):
     """j-th power of the mod-p cyclotomic character at a: a^j mod p.
 

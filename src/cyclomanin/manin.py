@@ -11,27 +11,29 @@ Coefficients live in a finite-dimensional F_p module M; the nebentype
 chi acts through explicit matrices, so everything reduces to exact
 linear algebra mod p.
 
-Relation (1) is certified in one pass over X_n, not one per unit.  Let G
-generate (Z/p^n)^x (exactlin.primitive_root) and A = chi(G).  If
-(a) e(Gx) = A e(x) at every point x and (b) chi(G^k) = A^k for
-0 <= k < phi(p^n), induction on k gives e(G^k x) = A e(G^(k-1) x) =
-A^k e(x) = chi(G^k) e(x), and every unit is some G^k.  Check (a) is one
-permutation of X_n and one product; (b) multiplies dim x dim matrices.
-Only a table that fails the certificate is scanned unit by unit, which
-names the first offending (x, y, lam), or finds none when chi is not
-multiplicative but (1) still holds, as on the zero table.
+Relation (1) is certified without a pass per unit.  With h the generator
+of exactlin.unit_logs and A = chi(h), (a) e(hx) = A e(x) at every point
+x and (b) chi(h^k) = A^k for 0 <= k < phi(p^n) give e(h^k x) = chi(h^k)
+e(x) by induction on k, and every unit is some h^k.  Both read x[next] =
+x @ A^T: (a) over the values, next the permutation of X_n by h; (b) over
+the module's table of every chi(h^k)^T, next one unit on, with chi(1) =
+I.  Each takes one product per _SLICE_CELLS entries, never copying the
+phi(p^n) dim^2 table.  Only a failing table is scanned unit by unit, to
+name the first offending (x, y, lam), or none when chi is not
+multiplicative but (1) holds, as on the zero table.
 
 The small coefficient modules (trivial, power character, group algebra),
 the dense relation space and the boundary-symbol basis that the tests
 build symbols from are reference code in tests/oracles.py.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .exactlin import as_fp, matmul_mod, primitive_root, unit_group
+from .exactlin import as_fp, matmul_mod, unit_group, unit_logs
+
+_SLICE_CELLS = 2**17   # entries of x @ A^T per certificate slice: small beside the table
 
 
 @lru_cache(maxsize=None)
@@ -55,30 +57,25 @@ def enumerate_X(p, n):
 class CoeffModule:
     """Finite-dimensional F_p module with a unit-group (nebentype) action.
 
-    The action is given by matrices G(lam) on coordinate columns with
-    G(lam*mu) = G(lam) @ G(mu); relation (1) reads
-    values[lam*x] = G(lam) @ values[x].
+    table[e] = chi(h^e)^T mod p, so relation (1) reads values[h^e x] =
+    values[x] @ table[e], h and log_h from exactlin.unit_logs; act(lam) =
+    chi(lam) is a view of table[log_h(lam)].
     """
 
-    def __init__(self, p, n, dim, act, name):
+    def __init__(self, p, n, table, name):
         self.p = p
         self.n = n
         self.pn = p**n
-        self.dim = dim
+        self.table = np.ascontiguousarray(table, dtype=np.int64)
+        self.table.flags.writeable = False
+        self.dim = self.table.shape[1]
         self.name = name
-        self._act = act
-        self._cache = {}
 
     def act(self, lam):
         lam = int(lam) % self.pn
-        if math.gcd(lam, self.p) != 1:
+        if lam % self.p == 0:
             raise ValueError(f"{lam} is not a unit mod {self.pn}")
-        got = self._cache.get(lam)
-        if got is None:
-            got = as_fp(self._act(lam), self.p).reshape(self.dim, self.dim)
-            got.flags.writeable = False       # every later act(lam) returns it
-            self._cache[lam] = got
-        return got
+        return self.table[unit_logs(self.p, self.n)[1][lam]].T
 
     def __repr__(self):
         return f"CoeffModule({self.name}, p={self.p}, n={self.n}, dim={self.dim})"
@@ -113,28 +110,21 @@ class ManinTable:
 
     def _units_certified(self):
         # checks (a) and (b) of the module docstring; True proves relation (1)
-        p, pn, act = self.p, self.pn, self.module.act
-        g = primitive_root(p, self.n)
-        a = act(g)
-        image = self.values[_perm(self.points, self.index, pn, (g, 0, 0, g))]
-        if (image != matmul_mod(a, self.values.T, p).T).any():
-            return False
-        lam, power, order = 1, np.eye(self.module.dim, dtype=np.int64), 0
-        while True:
-            if not np.array_equal(act(lam), power):
-                return False
-            lam, power, order = lam * g % pn, matmul_mod(power, a, p), order + 1
-            if lam == 1:   # G^order = 1: G generates iff order = phi(p^n)
-                return order == pn - pn // p
+        table, dim, p = self.module.table, self.module.dim, self.p
+        h = int(unit_logs(p, self.n)[0][1])
+        flat = table.reshape(len(table) * dim, dim)    # a view: row k dim + r is table[k][r]
+        checks = ((self.values, _perm(self.points, self.index, self.pn, (h, 0, 0, h))),
+                  (flat, np.arange(dim, len(flat))))
+        rows = max(1, _SLICE_CELLS // max(1, dim))
+        return np.array_equal(table[0], np.eye(dim)) and all(
+            np.array_equal(x[nxt[s:s + rows]], matmul_mod(x[s:len(nxt)][:rows], table[1], p))
+            for x, nxt in checks for s in range(0, len(nxt), rows))
 
     def relation_checks(self):
         """Map relation name -> None (holds) or the first offending point.
 
-        Relation (1) holds when the certificate of the module docstring
-        does: e(Gx) = A e(x) at every x and chi(G^k) = A^k for every k give
-        e(G^k x) = chi(G^k) e(x) by induction on k.  Only a failed
-        certificate runs the scan of one pass per unit lam, whose first
-        failing (x, y, lam), or None, is the answer.
+        Relation (1) holds if the module docstring's certificate does; else
+        the scan of one pass per unit lam gives its first failing (x, y, lam) or None.
         """
         p, pn = self.p, self.pn
         pts, idx, vals = self.points, self.index, self.values

@@ -6,9 +6,10 @@ and matrix Hecke operators; eigenprojectors of M_{p,1}; the xi classes
 and L-values of M_{p,1} summed over all p^2 keys, and its
 eigenfunctionals checked one sigma_a at a time; the orbits of the
 classes under a unit group, found by walking every class around its
-orbit; the weight-r pairings
-and boundary L-values, on residue arrays with r and p passed explicitly
-(W_r in coefficients of X^i Y^(r-i), V_r in lambda coordinates); the
+orbit; the certificate of the Manin unit relation by a walk over every
+unit; the weight-r pairings and boundary L-values, on residue arrays
+with r and p passed explicitly (W_r in coefficients of X^i Y^(r-i), V_r
+in lambda coordinates); the
 whole W_r and V_r action matrices, built apart from lvalues.act_rows;
 the Gamma_infty invariants, boundary rows and level-one space by
 elimination over full V_r matrices; the level-one Hecke operators summed
@@ -19,10 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclomanin.cyclok2 import _class_sign
-from cyclomanin.exactlin import (bernoulli_over_k_mod, check_int64_sums, check_weight,
-                                 coords_in_rowspace, inv_mod, kernel_mod, matmul_mod,
-                                 omega_pow, power_table, primitive_root, rref_mod,
-                                 unit_group)
+from cyclomanin.exactlin import (as_fp, bernoulli_over_k_mod, check_int64_sums,
+                                 check_weight, coords_in_rowspace, inv_mod, kernel_mod,
+                                 matmul_mod, omega_pow, power_table, primitive_root,
+                                 rref_mod, unit_group, unit_logs)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
 from cyclomanin.lvalues import LValueVector, _matmul_halves, _substitution, binom_table
 from cyclomanin.manin import CoeffModule, ManinTable, _perm, enumerate_X, image_keys
@@ -60,8 +61,15 @@ def canonical_class_index(pn):
     return np.stack(np.divmod(live, pn), axis=1), cls, sign
 
 
+def coeffs_by_action(p, n, dim, act, name):
+    """CoeffModule whose unit lam acts by the dim x dim matrix act(lam)."""
+    hpow, _ = unit_logs(p, n)
+    return CoeffModule(p, n, np.stack([as_fp(act(int(lam)), p).reshape(dim, dim).T
+                                       for lam in hpow]), name)
+
+
 def trivial_coeffs(p, n=1):
-    return CoeffModule(p, n, 1, lambda lam: np.array([[1]]), "trivial")
+    return coeffs_by_action(p, n, 1, lambda lam: np.array([[1]]), "trivial")
 
 
 def power_character_coeffs(p, n, j):
@@ -71,8 +79,8 @@ def power_character_coeffs(p, n, j):
     factors through (Z/p)^x since F_p^x has no p-torsion.
     """
     jj = j % (p - 1)
-    return CoeffModule(p, n, 1, lambda lam: np.array([[pow(lam % p, jj, p)]]),
-                       f"omega^{jj}")
+    return coeffs_by_action(p, n, 1, lambda lam: np.array([[pow(lam % p, jj, p)]]),
+                            f"omega^{jj}")
 
 
 def group_algebra_coeffs(p, n=1):
@@ -92,7 +100,7 @@ def group_algebra_coeffs(p, n=1):
             g[pos[lam * u % pn], pos[u]] = 1
         return g
 
-    return CoeffModule(p, n, dim, act, "group-algebra")
+    return coeffs_by_action(p, n, dim, act, "group-algebra")
 
 
 def manin_relation_space(module):
@@ -122,6 +130,25 @@ def manin_relation_space(module):
     rows.append(block([(eye, at), (eye, _perm(points, index, pn, (0, 1, -1, -1))),
                        (eye, _perm(points, index, pn, (-1, -1, 1, 0)))]))
     return np.vstack(rows)
+
+
+def units_certified_by_walk(tab):
+    """The certificate of relation (1) for the ManinTable tab, checks (a) and
+    (b) of the manin module docstring, by a walk over every unit: one
+    module.act call and one dim x dim product each.  True proves (1)."""
+    p, pn, act = tab.p, tab.pn, tab.module.act
+    g = primitive_root(p, tab.n)
+    a = act(g)
+    image = tab.values[_perm(tab.points, tab.index, pn, (g, 0, 0, g))]
+    if (image != matmul_mod(a, tab.values.T, p).T).any():
+        return False
+    lam, power, order = 1, np.eye(tab.module.dim, dtype=np.int64), 0
+    while True:
+        if not np.array_equal(act(lam), power):
+            return False
+        lam, power, order = lam * g % pn, matmul_mod(power, a, p), order + 1
+        if lam == 1:   # G^order = 1: G generates iff order = phi(p^n)
+            return order == pn - pn // p
 
 
 def table_from_flat(module, flat):

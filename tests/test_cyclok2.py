@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cyclomanin import cyclok2, exactlin
+from cyclomanin import cyclok2, exactlin, manin
 from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, CycloModule,
                                 _f7_families, build_cyclo_module, e_manin,
                                 e_table, quotient_coeffs, rho_basis,
@@ -42,7 +42,7 @@ from cyclomanin.cyclok2 import (_RELATION_TERMS, ALL_FLAGS, CycloModule,
 from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
                                  matmul_mod, power_table, primitive_root,
                                  quotient_map, rref_mod, system_kernels,
-                                 unit_group)
+                                 unit_group, unit_logs)
 from cyclomanin.manin import enumerate_X, image_keys, is_supported_at_infty
 from oracles import (canonical_class_index, canonical_classes, eigen_projector,
                      orbits_by_walk)
@@ -431,13 +431,14 @@ def test_build_is_cached():
 
 
 def test_cached_arrays_are_read_only():
-    # build_cyclo_module, enumerate_X and CoeffModule.act hand out cached
-    # arrays, so a write through one, such as gen_coords(1, 2) += 1, would
-    # change later answers
+    # build_cyclo_module, enumerate_X, unit_logs and CoeffModule.act hand out
+    # cached arrays, so a write through one, such as gen_coords(1, 2) += 1,
+    # would change later answers
     module = build_cyclo_module(37)
     names = ("reduce_matrix", "class_to_quot", "basis_pairs", "class_reps", "_class_table")
     for arr in [getattr(module, name) for name in names] + [
-            module.gen_coords(1, 2), *enumerate_X(37, 1), quotient_coeffs(module).act(2)]:
+            module.gen_coords(1, 2), *enumerate_X(37, 1), *unit_logs(37, 1), *unit_logs(5, 2),
+            quotient_coeffs(module).act(2), quotient_coeffs(module).table]:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = arr       # a write that would change nothing
 
@@ -605,6 +606,25 @@ def test_quotient_coeffs_exposes_the_galois_action():
     assert coeffs.dim == module.dim
     for a in (2, 3):
         assert np.array_equal(coeffs.act(a), module.galois_matrix(a))
+
+
+def test_one_sigma_gather_per_table_and_per_chi_q(monkeypatch):
+    # e_manin and verify_hecke_eigenvalue each make a ManinTable, whose
+    # coefficient module gathers sigma_(h^e) at all 36 units at once; each
+    # chi_q is one more gather.  A certified table reads no unit's matrix
+    module = build_cyclo_module(37)
+    gathers, acts = [], []
+    rows, act = CycloModule.galois_rows, manin.CoeffModule.act
+    monkeypatch.setattr(CycloModule, "galois_rows",
+                        lambda self, lams: gathers.append(len(lams)) or rows(self, lams))
+    monkeypatch.setattr(manin.CoeffModule, "act",
+                        lambda self, lam: acts.append(lam) or act(self, lam))
+    e_manin(module)
+    assert verify_hecke_eigenvalue(module).all_pass
+    assert gathers == [36, 36, 1, 1] and not acts
+    coeffs = quotient_coeffs(module)
+    for lam in unit_group(37):
+        assert np.array_equal(coeffs.act(lam), module.galois_matrix(lam))
 
 
 def test_module_builds_do_not_load_numpy_ma():

@@ -16,7 +16,8 @@ from cyclomanin.exactlin import (_PANEL, _SLACK, _bernoulli_table_mod,
                                  irregular_weights, is_irregular_pair, is_prime,
                                  kernel_mod, matmul_mod, omega_pow, power_table,
                                  primitive_root, quotient_map, rref_mod,
-                                 stack_kernels, system_kernels, unit_group)
+                                 stack_kernels, system_kernels, unit_group,
+                                 unit_logs)
 from oracles import inv_mod_matrix
 
 # rows per block of the row-block merge rref_mod once ran; the tall inputs
@@ -489,6 +490,26 @@ def test_primitive_root_refuses_a_composite():
     for p, n in ((9, 1), (15, 2)):
         with pytest.raises(ValueError, match=f"got {p}"):
             primitive_root(p, n)
+
+
+UNIT_LOG_CASES = ([(p, 1) for p in range(3, 44) if is_prime(p)]
+                  + [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3)])
+
+
+@pytest.mark.parametrize("p,n", UNIT_LOG_CASES)
+def test_unit_logs_invert_the_powers_of_the_primitive_root(p, n):
+    hpow, log = unit_logs(p, n)
+    assert np.array_equal(np.sort(hpow), unit_group(p**n))
+    assert np.array_equal(log[hpow], np.arange(len(hpow)))
+    assert hpow[1] == primitive_root(p, n)
+
+
+def test_unit_logs_refuse_a_non_generator(monkeypatch):
+    # 2 has order 3 mod 7, so its powers repeat before they reach 6 units;
+    # the uncached function is called, as the cache may hold (7, 1)
+    monkeypatch.setattr(exactlin, "primitive_root", lambda p, n: 2)
+    with pytest.raises(RuntimeError, match="does not generate"):
+        unit_logs.__wrapped__(7, 1)
 
 
 def test_omega_pow_is_a_character():

@@ -10,8 +10,9 @@ from cyclomanin.cyclok2 import build_cyclo_module, e_table
 from cyclomanin.exactlin import coords_in_rowspace, kernel_mod, rref_mod, unit_group
 from cyclomanin.manin import (CoeffModule, ManinTable, enumerate_X, image_keys,
                               is_supported_at_infty)
-from oracles import (group_algebra_coeffs, manin_relation_space, power_character_coeffs,
-                     symbols_supported_at_infty, table_from_flat, trivial_coeffs)
+from oracles import (coeffs_by_action, group_algebra_coeffs, manin_relation_space,
+                     power_character_coeffs, symbols_supported_at_infty, table_from_flat,
+                     trivial_coeffs, units_certified_by_walk)
 
 
 @pytest.mark.parametrize("p,n", ((5, 1), (7, 1), (13, 1), (5, 2)))
@@ -157,6 +158,12 @@ def _bumped(tab, at):
     return ManinTable(tab.module, vals)
 
 
+def _certificate_matches_the_walk(tab):
+    got = tab._units_certified()
+    assert got == units_certified_by_walk(tab)
+    return got
+
+
 # Manin symbols over the trivial, a power-character and the group-algebra
 # module.  The relation space of the group algebra at (5,2) has 12,000
 # unknowns, so its symbols there are the ones supported at infinity.
@@ -206,11 +213,12 @@ def test_relation_checks_match_the_unit_scan_on_cyclo_tables(p, n, extra):
 ))
 @pytest.mark.parametrize("n", (1, 2))
 def test_relation_checks_when_the_action_is_not_multiplicative(act, n):
-    module = CoeffModule(5, n, 1, lambda lam: np.array([[act(lam)]]), "scalar")
+    module = coeffs_by_action(5, n, 1, lambda lam: np.array([[act(lam)]]), "scalar")
     npts = len(enumerate_X(5, n)[0])
     zero = ManinTable(module, np.zeros((npts, 1), dtype=np.int64))
     assert zero.relation_checks() == scan_relation_checks(zero)
     assert all(v is None for v in zero.relation_checks().values())
+    assert not _certificate_matches_the_walk(zero)
     rng = np.random.default_rng(n)
     # an omega^2 symbol meets e(2x) = act(2) e(x), 2 generating the units
     symbol = _kernel_tables(power_character_coeffs(5, n, 2))[0].values
@@ -219,6 +227,7 @@ def test_relation_checks_when_the_action_is_not_multiplicative(act, n):
         got = tab.relation_checks()
         assert got == scan_relation_checks(tab)
         assert got["unit-diagonal"] is not None
+        assert not _certificate_matches_the_walk(tab)
 
 
 @pytest.mark.parametrize("p", (37, 211))
@@ -235,3 +244,82 @@ def test_passing_table_gets_no_pass_per_unit(p, monkeypatch):
     monkeypatch.setattr(manin, "image_keys", counted)
     assert all(v is None for v in tab.relation_checks().values())
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("cells", (manin._SLICE_CELLS, 7))
+@pytest.mark.parametrize("source", sorted(SYMBOL_SOURCES))
+def test_certificate_matches_the_walk_on_symbols(source, cells, monkeypatch):
+    # 7 cells cut both checks into slices of one to seven rows
+    monkeypatch.setattr(manin, "_SLICE_CELLS", cells)
+    for i, tab in enumerate(SYMBOL_SOURCES[source]()):
+        assert _certificate_matches_the_walk(tab)
+        for at in (0, 7 * i + 3, -1):
+            assert not _certificate_matches_the_walk(_bumped(tab, at))
+
+
+def test_certificate_checks_chi_of_1():
+    # chi(h) = B is singular, so chi(1) = T0 != I still meets the chain
+    # chi(h^(k+1)) = chi(h^k) B: T0 B = B and B^2 = B.  On rows (c, c),
+    # e(hx) = e(x) B holds too, but e(x) = chi(1) e(x) fails at lam = 1
+    t0, b = np.array([[1, 0], [0, 0]]), np.array([[1, 1], [0, 0]])
+    module = CoeffModule(5, 1, np.stack([t0, b, b, b]), "chi(1) != I")
+    tab = ManinTable(module, np.ones((len(enumerate_X(5, 1)[0]), 2)))
+    assert not _certificate_matches_the_walk(tab)
+    got = tab.relation_checks()
+    assert got == scan_relation_checks(tab) and got["unit-diagonal"][2] == 1
+
+
+@pytest.mark.parametrize("p,dim", ((37, 57), (73, 222)))
+def test_certificate_matches_the_walk_on_cyclo_tables(p, dim):
+    tab = e_table(build_cyclo_module(p, 1, ("F1", "F2", "F3", "F4")))
+    assert tab.module.dim == dim
+    assert _certificate_matches_the_walk(tab)
+    for at in (0, 1, len(tab.values) // 2, -1):
+        assert not _certificate_matches_the_walk(_bumped(tab, at))
+
+
+def _with_table_row(module, row, p):
+    # the module with row `row` of its flattened table, row row % dim of
+    # chi(h^k)^T at k = row // dim, moved by one in its first entry
+    table = module.table.copy()
+    table[row // module.dim, row % module.dim, 0] += 1
+    return CoeffModule(p, module.n, table % p, "corrupted")
+
+
+@pytest.mark.parametrize("p,cells,scan_units", ((37, 2**12, True), (73, None, False)))
+def test_certificate_slice_boundaries(p, cells, scan_units, monkeypatch):
+    # with the package's slices, at 73, dim 222, check (a) takes ten slices
+    # of the 5,328 values and check (b) 27 of the 15,762 table rows it
+    # multiplies; slices of 71 rows cut them into 20 and 29 at 37, dim 57.
+    # One unit or one value row is corrupted at the first row of the second
+    # slice, the first row that slice compares beyond its own, the first
+    # row of the last slice, and the last row of all.  A failed certificate
+    # scans to the corrupted unit, at 73 up to 72 products with the
+    # 5,328 x 222 values, so only 37 compares that scan
+    if cells:
+        monkeypatch.setattr(manin, "_SLICE_CELLS", cells)
+    tab = e_table(build_cyclo_module(p, 1, ("F1", "F2", "F3", "F4")))
+    dim, npts, phi = tab.module.dim, len(tab.values), p - 1
+    rows, count = manin._SLICE_CELLS // dim, (phi - 1) * dim    # rows (b) multiplies
+    assert rows < npts and rows < count
+    assert tab._units_certified()
+    last = rows * ((count - 1) // rows)
+    for row in (0, rows - 1, rows, rows + dim, last, (phi - 1) * dim, phi * dim - 1):
+        bad = ManinTable(_with_table_row(tab.module, row, p), tab.values)
+        assert not _certificate_matches_the_walk(bad), row
+        if scan_units:
+            got = bad.relation_checks()
+            assert got == scan_relation_checks(bad) and got["unit-diagonal"] is not None, row
+    for at in (rows - 1, rows, rows * ((npts - 1) // rows), npts - 1):
+        bad = _bumped(tab, at)
+        assert not _certificate_matches_the_walk(bad), at
+        got = bad.relation_checks()
+        assert got == scan_relation_checks(bad) and got["unit-diagonal"] is not None, at
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_certificate_at_dim_0(p):
+    tab = e_table(build_cyclo_module(p, 2))
+    assert tab.module.dim == 0 and tab.module.table.shape == (p * (p - 1), 0, 0)
+    assert _certificate_matches_the_walk(tab)
+    assert all(v is None for v in tab.relation_checks().values())
