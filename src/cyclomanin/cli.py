@@ -111,8 +111,7 @@ def cmd_lvalues(args):
     rhos = rho_basis(module, args.k)
     rep.add("functional count", True, len(rhos))
     rows = []
-    for r_i, rho in enumerate(rhos):
-        lv = l_values_from_rho(module, rho, args.k)
+    for r_i, lv in enumerate(l_values_from_rho(module, rhos, args.k)):
         rep.add(f"L-values for rho{r_i}", True,
                 {"values": lv.to_dict(), "excluded": sorted(lv.excluded)})
         rows += [(r_i, i, v) for i, v in
@@ -152,7 +151,7 @@ def lvalue_fixture_payload(p, k):
     payload = {"p": p, "k": k, "functionals": len(rhos), "values": {},
                "excluded": []}
     if len(rhos):
-        lv = l_values_from_rho(module, rhos[0], k)
+        lv, = l_values_from_rho(module, rhos[:1], k)
         payload["values"] = lv.to_dict()
         payload["excluded"] = sorted(lv.excluded)
     return payload

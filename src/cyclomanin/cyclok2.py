@@ -377,21 +377,30 @@ def weight_projector(module, k):
     return matmul_mod(w, module.galois_rows(gpow).reshape(p - 1, -1), p).reshape(dim, dim).T
 
 
-def xi_classes(module, k):
-    """Rows xi_1..xi_{k-1} (n = 1), xi_i = sum over unit pairs of a^{k-i-1}
-    b^{i-1} {1-z^a, 1-z^b} = P_k sum_s s^{k-i-1} {1-z^s, 1-z} with a = sb:
-    one weighted sum down the y = 1 column, keys s*p + 1, times P_k."""
+def weight_sums(module, k):
+    """P_k times the weighted sums along the x = 1 row and down the y = 1
+    column (n = 1), as two (k - 1) x dim blocks (row, column):
+
+        row[i] = P_k sum_t t^i {1-z, 1-z^t},
+        column[i] = xi_(i+1) = P_k sum_s s^(k-2-i) {1-z^s, 1-z}.
+
+    xi_i = sum over unit pairs of a^(k-i-1) b^(i-1) {1-z^a, 1-z^b} is the
+    column sum with a = sb, and lvalues.l_values_from_rho reads a
+    functional's L-values off the row.  One P_k, one gather of every
+    sigma_a, and one table of powers serve both."""
     p, proj = module.p, weight_projector(module, k)
-    column = module.reduce_matrix[np.arange(p) * p + 1]
-    sums = matmul_mod(power_table(np.arange(p), k - 2, p).T[::-1], column, p)
-    return matmul_mod(sums, proj.T, p)
+    keys = np.arange(p)
+    powers = power_table(keys, k - 2, p).T                   # powers[i, t] = t^i
+    row = matmul_mod(powers, module.reduce_matrix[p + keys], p)
+    column = matmul_mod(powers[::-1], module.reduce_matrix[keys * p + 1], p)
+    return matmul_mod(np.stack([row, column]), proj.T, p)
 
 
 def xi_class(module, i, k):
-    """Quotient coordinates of xi_i (n = 1), row i - 1 of xi_classes."""
+    """Quotient coordinates of xi_i (n = 1), row i - 1 of the column of weight_sums."""
     if not 1 <= i < k:
         raise ValueError(f"need 1 <= i < k, got i={i} at k={k}")
-    return xi_classes(module, k)[i - 1]
+    return weight_sums(module, k)[1, i - 1]
 
 
 def rho_basis(module, k):

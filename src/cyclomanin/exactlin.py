@@ -41,6 +41,7 @@ _F64_EXACT = 2**53
 _PANEL = 32            # columns the elimination loop runs on per panel
 _SLACK = 16            # rows a compressed system keeps beyond its width
 _UPDATE_CELLS = 2**15  # cells the column loop rewrites per slice of rows
+_SWEEP_CELLS = 2**19   # cells of one power table in irregular_weights
 
 
 def is_prime(n):
@@ -559,28 +560,45 @@ def irregular_weights(p):
     g^k = 1 only when p - 1 divides k, which no k <= p - 3 does, so
     p | B_k/k exactly when the sum is 0 mod p.  c = 2 would not do: at a
     k with 2^k = 1 (mod p), such as k = 10 at p = 31, both sides vanish
-    whatever B_k is.  With w = floor(g x / p) fixed, each weight is one
-    dot product w @ x^(k-1), and the next power is one multiplication by
-    x^2, so the sweep takes O(p) memory and (p - 3)/2 numpy steps (see
-    Buhler-Crandall-Ernvall-Metsankyla, Math. Comp. 61, 1993).
+    whatever B_k is.  x^(k-1) is odd in x, so x and p - x pair up: at
+    k = 2 + 2j the sum is S_j = sum_{x <= m} w_x y_x^j, m = (p - 1)/2, with
+    w_x = (floor(g x / p) - floor(g (p - x) / p)) x and y_x = x^2 (see
+    Buhler-Crandall-Ernvall-Metsankyla, Math. Comp. 61, 1993, and
+    Washington, Introduction to Cyclotomic Fields, 5.3).
 
-    The dot product sums p - 1 terms w x with w < g in int64, at most
-    what g - 1 products of residues sum to; a p where that could reach
-    2^62 raises ValueError before anything is allocated.
-    is_irregular_pair answers one k by the recursion, which stays: this
-    sweep's O(p) arrays would take about 8 GB at p = 10^9 + 7, where
-    eis-dim asks for one k.
+    All (p - 3)/2 sums come by baby and giant steps: a table of y^b for
+    b < B and giant rows w y^(aB) for G values of a give G B sums as one
+    (G x m) @ (m x B) matmul_mod, so no numpy step is taken per weight.
+    B is about the square root of (p - 3)/2, and a table has at most
+    _SWEEP_CELLS entries, but never fewer than 4 columns: the sweep holds
+    O(p) memory, and every p below 12953 takes a single product.
+
+    Each product sums m products of residues, so a p where that could
+    reach 2^62, p > 2,097,143, raises ValueError before anything is
+    allocated.  is_irregular_pair answers one k by the recursion, which
+    stays: this sweep's O(p) arrays would take about 8 GB at p = 10^9 + 7,
+    where eis-dim asks for one k.
     """
     check_prime(p, least=3)
+    m, count = (p - 1) // 2, (p - 3) // 2
+    check_int64_sums(m, p)
+    if not count:
+        return []
     g = primitive_root(p)
-    check_int64_sums(g - 1, p)
-    x = np.arange(1, p, dtype=np.int64)
-    w = g * x // p
-    x2 = x * x % p
-    cur = x                # x^(k-1) at k = 2
-    weights = []
-    for k in range(2, p - 2, 2):
-        if int(w @ cur) % p == 0:
-            weights.append(k)
-        cur = cur * x2 % p
-    return weights
+    x = np.arange(1, m + 1, dtype=np.int64)
+    w = (g * x // p - g * (p - x) // p) * x % p
+    y = x * x % p
+    cols = max(4, _SWEEP_CELLS // m)
+    b = min(cols, math.isqrt(count - 1) + 1)
+    giants = -(-count // b)                          # giant rows in all
+    baby = power_table(y, b - 1, p)                  # baby[x, i] = y^i, i < B
+    z = baby[:, -1] * y % p                          # y^B
+    step = power_table(z, min(cols, giants) - 1, p)  # step[x, a] = y^(aB), a < G
+    leap = step[:, -1] * z % p                       # y^(GB)
+    row, sums = w, []
+    for at in range(0, giants, step.shape[1]):
+        rows = row[:, None] * step[:, :giants - at] % p
+        sums.append(matmul_mod(rows.T, baby, p).ravel())
+        row = row * leap % p
+    s = np.concatenate(sums)[:count]
+    return [2 + 2 * int(j) for j in np.flatnonzero(s == 0)]

@@ -11,7 +11,8 @@ level-one relations 1+U+U^2 and the Hecke operators all reach their
 rows through it.  The Gamma_infty invariants have a closed form and are
 written down, not eliminated.  The L-values of a functional rho on
 M_{p,1} are summed along the x = 1 row, the xi_i that verify-lvalues
-pairs rho with down the y = 1 column (cyclok2.weight_projector).  The
+pairs rho with down the y = 1 column, both after one P_k
+(cyclok2.weight_sums).  The
 p^2-key sums, the whole action matrices, the pairings, the boundary
 L-values lam - lam|S, the T_p fixed-point check and the elimination the
 invariants replace are in tests/oracles.py.
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclok2 import build_cyclo_module, rho_basis, weight_projector, xi_classes
+from .cyclok2 import build_cyclo_module, rho_basis, weight_sums
 from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
                        inv_mod, matmul_mod, omega_pow, power_table)
 from .reports import CheckReport
@@ -183,24 +184,30 @@ class LValueVector:
                 for j in range(1, self.k)}
 
 
-def l_values_from_rho(module, rho, k):
-    """L-values of the weight-k symbol obtained from rho on the module.
-
-    rho is a functional on the quotient (a row of rho_basis).  The value
-    at argument i+1 is (-1)^i sum_{x,y units} y^i x^(k-2-i) rho(class(x,y)).
-    With y = tx that is (-1)^i sum_t t^i u[t], u[t] = rho(P_k class(1,t))
-    along the x = 1 row (cyclok2.weight_projector): one product for all i.
-    """
-    p, proj = module.p, weight_projector(module, k)
-    rho = np.asarray(rho, dtype=np.int64) % p
-    if rho.shape != (module.dim,):
-        raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
-    u = matmul_mod(module.reduce_matrix[p:2 * p], matmul_mod(rho, proj, p), p)
+def _l_value_vectors(row, rhos, p):
+    # one LValueVector per functional in rhos, from the row block of weight_sums
+    k = len(row) + 1
     i = np.arange(k - 1)
-    sums = matmul_mod(power_table(np.arange(p), k - 2, p).T, u, p) * (-1) ** i % p
+    sums = matmul_mod(row, rhos.T, p) * ((-1) ** i)[:, None] % p
     excluded = (i % (p - 1) == 0) | (i % (p - 1) == (k - 2) % (p - 1))
-    return LValueVector(k, p, {j + 1: int(sums[j]) for j in np.flatnonzero(~excluded)},
-                        {int(j) + 1 for j in np.flatnonzero(excluded)})
+    return [LValueVector(k, p, {j + 1: int(v[j]) for j in np.flatnonzero(~excluded)},
+                         {int(j) + 1 for j in np.flatnonzero(excluded)}) for v in sums.T]
+
+
+def l_values_from_rho(module, rhos, k):
+    """L-values of the weight-k symbols obtained from a block of functionals.
+
+    Each row rho of rhos is a functional on the quotient (rows of
+    rho_basis, say), and gives one LValueVector.  The value at argument
+    i+1 is (-1)^i sum_{x,y units} y^i x^(k-2-i) rho(class(x,y)).  With
+    y = tx that is (-1)^i rho(row[i]), row[i] = P_k sum_t t^i class(1,t)
+    along the x = 1 row (cyclok2.weight_sums): one product for all i and
+    every rho, after one P_k.
+    """
+    rhos = np.asarray(rhos, dtype=np.int64) % module.p
+    if rhos.ndim != 2 or rhos.shape[1] != module.dim:
+        raise ValueError(f"rhos must have shape (r, {module.dim}), got {rhos.shape}")
+    return _l_value_vectors(weight_sums(module, k)[0], rhos, module.p)
 
 
 def twist_eigenvalue_identity(q, k, p):
@@ -221,10 +228,12 @@ def lvalue_identity_report(p, k, module=None):
     report = CheckReport("verify-lvalues", {"p": p, "k": k})
     rhos = rho_basis(module, k)
     report.add("functional-count", True, {"count": int(rhos.shape[0])})
-    # paired[i - 1, idx] = rho_idx(xi_i), summed down the y = 1 column
-    paired = matmul_mod(xi_classes(module, k), rhos.T, p)
-    for idx, rho in enumerate(rhos):
-        lv = l_values_from_rho(module, rho, k).to_dict()
+    # one P_k for both sides: paired[i - 1, idx] = rho_idx(xi_i), summed down
+    # the y = 1 column, and the L-values along the x = 1 row
+    row, column = weight_sums(module, k)
+    paired = matmul_mod(column, rhos.T, p)
+    for idx, vector in enumerate(_l_value_vectors(row, rhos, p)):
+        lv = vector.to_dict()
         odd = {str(i): lv[str(i)] for i in range(3, k - 2, 2)}
         ok = all(v == "excluded" or v == paired[int(i) - 1, idx] for i, v in odd.items())
         report.add("odd-values-match-xi[rho%d]" % idx, ok, odd)

@@ -13,7 +13,9 @@ in lambda coordinates); the
 whole W_r and V_r action matrices, built apart from lvalues.act_rows;
 the Gamma_infty invariants, boundary rows and level-one space by
 elimination over full V_r matrices; the level-one Hecke operators summed
-as full V_r matrices; and the level-one q-expansions.
+as full V_r matrices; the level-one q-expansions; and the irregular
+weights by Voronoi's congruence one numpy step per weight
+(irregular_weights_by_steps).
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclomanin.cyclok2 import _class_sign
 from cyclomanin.exactlin import (as_fp, bernoulli_over_k_mod, check_int64_sums,
-                                 check_weight, coords_in_rowspace, inv_mod, kernel_mod,
-                                 matmul_mod, omega_pow, power_table, primitive_root,
+                                 check_prime, check_weight, coords_in_rowspace, inv_mod,
+                                 kernel_mod, matmul_mod, omega_pow, power_table, primitive_root,
                                  rref_mod, unit_group, unit_logs)
 from cyclomanin.hecke import CLOSED_FORMS, _term_sum, hecke_apply, merel_set
 from cyclomanin.lvalues import LValueVector, _matmul_halves, _substitution, binom_table
@@ -485,3 +487,22 @@ def eisenstein_q_coeffs(k, p, nmax):
         g[nn] = tg % p
         s[nn] = ts % p
     return g, s
+
+
+def irregular_weights_by_steps(p):
+    """exactlin.irregular_weights one weight at a time: with w = floor(g x / p)
+    fixed, each even k is one dot product w @ x^(k-1) over all p - 1 units,
+    and the next power is one multiplication by x^2."""
+    check_prime(p, least=3)
+    g = primitive_root(p)
+    check_int64_sums(g - 1, p)
+    x = np.arange(1, p, dtype=np.int64)
+    w = g * x // p
+    x2 = x * x % p
+    cur = x                # x^(k-1) at k = 2
+    weights = []
+    for k in range(2, p - 2, 2):
+        if int(w @ cur) % p == 0:
+            weights.append(k)
+        cur = cur * x2 % p
+    return weights

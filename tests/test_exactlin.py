@@ -18,7 +18,7 @@ from cyclomanin.exactlin import (_PANEL, _SLACK, _bernoulli_table_mod,
                                  primitive_root, quotient_map, rref_mod,
                                  stack_kernels, system_kernels, unit_group,
                                  unit_logs)
-from oracles import inv_mod_matrix
+from oracles import inv_mod_matrix, irregular_weights_by_steps
 
 # rows per block of the row-block merge rref_mod once ran; the tall inputs
 # below are cut at it, and now go through one stacked elimination whole
@@ -590,6 +590,40 @@ def test_irregular_weights_at_1009_and_2003():
     assert irregular_weights(2003) == [60, 600]
     for k in (60, 600):
         assert sympy.Rational(sympy.bernoulli(k), k).p % 2003 == 0
+
+
+def test_irregular_weights_match_the_sweep_weight_by_weight():
+    # the blocked products against one dot product per even k, at every odd
+    # prime below 2000 (one product each) and at 20011 (four products)
+    for p in [q for q in range(3, 2000) if is_prime(q)] + [20011]:
+        assert irregular_weights(p) == irregular_weights_by_steps(p), p
+    assert irregular_weights(20011) == [8452]
+
+
+@pytest.mark.parametrize("cells", (1, 64, 700, 2**12))
+def test_irregular_weights_across_block_boundaries(monkeypatch, cells):
+    # table budgets from 1 cell, where every table has the 4-column floor, to
+    # 2^12, where each prime takes one product; below that the sums take
+    # several products, the last with fewer giant rows and surplus baby columns
+    shapes = []
+    product = exactlin.matmul_mod
+    monkeypatch.setattr(exactlin, "_SWEEP_CELLS", cells)
+    monkeypatch.setattr(exactlin, "matmul_mod", lambda a, b, p:
+                        shapes.append((p, a.shape, b.shape)) or product(a, b, p))
+    for p in [q for q in range(3, 400) if is_prime(q)]:
+        assert irregular_weights(p) == irregular_weights_by_steps(p), (cells, p)
+    blocks = {}
+    for p, rows, baby in shapes:
+        blocks.setdefault(p, []).append((rows[0], baby[1]))
+    assert 3 not in blocks                       # no weight k with 2 <= k <= p - 3
+    assert blocks[5] == [(1, 1)] and blocks[7] == [(1, 2)]
+    for p, got in blocks.items():
+        b = got[0][1]
+        # B columns throughout, giant rows G then a ragged rest, G B >= the sums
+        assert {baby for _, baby in got} == {b} and len({g for g, _ in got[:-1]}) <= 1
+        assert 0 <= sum(g for g, _ in got) * b - (p - 3) // 2 < b, (cells, p, got)
+    if cells == 1:
+        assert blocks[53] == [(4, 4), (3, 4)]    # 25 sums: 7 giant rows of 4
 
 
 def test_irregular_weights_refuse_inexact_sums_before_allocating(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomanin.cyclok2 import (ALL_FLAGS, build_cyclo_module, rho_basis, weight_projector,
-                                xi_class, xi_classes)
+from cyclomanin import cli
+from cyclomanin.cyclok2 import (ALL_FLAGS, CycloModule, build_cyclo_module, rho_basis,
+                                weight_projector, weight_sums, xi_class)
 from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
 from cyclomanin.hecke import merel_set
 from cyclomanin.lvalues import (act_rows, dual_act_matrix, gamma_infty_invariants,
@@ -325,7 +326,7 @@ def test_twist_bookkeeping_identity():
 def frozen_lvalues_37_32():
     module = build_cyclo_module(37)
     rho = rho_basis(module, 32)[0]
-    return module, rho, l_values_from_rho(module, rho, 32)
+    return module, rho, l_values_from_rho(module, [rho], 32)[0]
 
 
 def test_lvalues_frozen_vector():
@@ -367,14 +368,15 @@ def functionals(module, k, seed):
 
 def check_weight_sums(module, k, seed):
     """The x = 1 row and y = 1 column sums against the p^2-key grid sums, at every i."""
-    xi = xi_classes(module, k)
-    assert xi.shape == (k - 1, module.dim)
+    row, xi = weight_sums(module, k)
+    assert row.shape == xi.shape == (k - 1, module.dim)
     for i in range(1, k):
         want = xi_class_by_grid(module, i, k)
         assert np.array_equal(xi[i - 1], want), (module, k, i)
         assert np.array_equal(xi_class(module, i, k), want), (module, k, i)
-    for rho in functionals(module, k, seed):
-        got, want = l_values_from_rho(module, rho, k), l_values_by_grid(module, rho, k)
+    rhos = functionals(module, k, seed)
+    for rho, got in zip(rhos, l_values_from_rho(module, rhos, k), strict=True):
+        want = l_values_by_grid(module, rho, k)
         assert (got.values, got.excluded) == (want.values, want.excluded), (module, k)
 
 
@@ -420,6 +422,25 @@ def test_lvalue_identity_report_is_non_vacuous_at_37_32():
     assert "even-values-zero[rho0]" in by_name
 
 
+@pytest.mark.parametrize("flags,count", ((ALL_FLAGS, 1), (("F1", "F2", "F3", "F4"), 3)))
+def test_one_sigma_gather_for_rho_basis_and_one_for_p_k(monkeypatch, capsys, flags, count):
+    # rho_basis gathers sigma_a at all 36 units, and weight_sums once more for
+    # P_k, which serves every functional: the count does not grow with r
+    module = build_cyclo_module(37, 1, flags)
+    gathers = []
+    rows = CycloModule.galois_rows
+    monkeypatch.setattr(CycloModule, "galois_rows",
+                        lambda self, lams: gathers.append(len(lams)) or rows(self, lams))
+    rep = lvalue_identity_report(37, 32, module=module)
+    assert rep.all_pass and rep.checks[0]["details"] == {"count": count}
+    assert gathers == [36, 36]
+    if flags == ALL_FLAGS:
+        gathers.clear()
+        assert cli.main(["lvalues", "--p", "37", "--k", "32"]) == 0
+        capsys.readouterr()
+        assert gathers == [36, 36]
+
+
 def test_lvalue_identity_report_vacuous_case():
     rep = lvalue_identity_report(5, 4)
     assert rep.all_pass
@@ -432,10 +453,14 @@ def test_lvalue_argument_validation():
     rho = rho_basis(module, 32)[0]
     for bad_k in (3, 0, 74, 100):
         with pytest.raises(ValueError):
-            l_values_from_rho(module, rho, bad_k)
+            l_values_from_rho(module, [rho], bad_k)
+    # one functional is a block of one row
+    for bad in (rho, np.zeros((1, module.dim + 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="rhos must have shape"):
+            l_values_from_rho(module, bad, 32)
     deep = build_cyclo_module(5, 2)
     with pytest.raises(ValueError):
-        l_values_from_rho(deep, np.zeros(deep.dim, dtype=np.int64), 4)
+        l_values_from_rho(deep, np.zeros((1, deep.dim), dtype=np.int64), 4)
     for bad in ((3, 4), (5, 5), (5, 20)):
         with pytest.raises(ValueError):
             lvalue_identity_report(*bad)
