@@ -4,14 +4,14 @@ A level-one symbol with V_{k-2} coefficients is a single dual vector v
 killed by 1+S and 1+U+U^2 (S order 4, U order 3).  On V_{k-2}, S is the
 signed reversal lambda_i -> (-1)^i lambda_{k-2-i}, so ker(1+S) is written
 down and only 1+U+U^2 is eliminated on it, applied to the basis rows by
-lvalues.act_rows through T and T^-1.  Boundary symbols lam - lam|S come
-from the Gamma_infty-invariant functionals, whose closed form needs no
-elimination either.  The parabolic quotient carries conjugation and Hecke
-operators, whose simultaneous eigenspace with T_q-eigenvalue 1+q^(k-1)
-detects the Eisenstein congruences of irregular pairs.  The Hecke
-operators act on the level-one basis rows alone, by lvalues.act_rows over
-Merel's coset set, and reach the quotient in level coordinates; no
-(k-1)^2 Hecke matrix is formed.
+one lvalues.act_rows call over U^T and (U^2)^T.  Boundary symbols
+lam - lam|S come from the Gamma_infty-invariant functionals, whose
+closed form needs no elimination either.  The parabolic quotient
+carries conjugation and Hecke operators, whose simultaneous eigenspace
+with T_q-eigenvalue 1+q^(k-1) detects the Eisenstein congruences of
+irregular pairs.  The Hecke operators act on the level-one basis rows
+alone, by lvalues.act_rows over Merel's coset set, and reach the
+quotient in level coordinates; no (k-1)^2 Hecke matrix is formed.
 """
 
 from functools import lru_cache
@@ -39,13 +39,11 @@ def level1_space(k, p):
     parametrised by v_i for i < r/2, with v_{r-i} = -(-1)^i v_i, and by
     v_{r/2} when r/2 is odd (it is 0 when r/2 is even).  Only 1+U+U^2 is
     eliminated, as an about r/2 x (r+1) system on the rows of that basis.
-    U = (0 -1; 1 -1) is S T^-1 and U^2 = U^-1 = T S^-1, and at even r
-    the scalar -1 acts trivially, so S^-1 = -S acts as S.  Hence every v in
-    ker(1+S) has v|U = (v|S)|T^-1 = -v|T^-1 and v|U^2 = (v|T)|S, and the
-    system is two act_rows calls of one Pascal product each: v|sigma is
-    act_rows(v, [sigma^T]), and S is the signed reversal again.  Any
-    basis of the space may come back; callers read it through rref_mod
-    or its row count.
+    v|sigma is act_rows(v, [sigma^T]), so with U = (0 -1; 1 -1) and
+    U^2 = (-1 1; -1 0) the rows v|U + v|U^2 are one act_rows call over
+    U^T = (0 1; -1 -1) and (U^2)^T = (-1 -1; 1 0), in one chunk or two.
+    Any basis of the space may come back; callers read it through
+    rref_mod or its row count.
 
     A k whose pipeline would exceed physical memory (_setup_bytes) raises
     ValueError before anything is allocated.
@@ -59,9 +57,7 @@ def level1_space(k, p):
     basis = np.zeros((len(free), r + 1), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[np.arange(half), mirror] = sign
-    flip = np.where(np.arange(r + 1) % 2, p - 1, 1)
-    system = (basis - act_rows(basis, [(1, 0, -1, 1)], r, p)
-              + act_rows(basis, [(1, 0, 1, 1)], r, p)[:, ::-1] * flip) % p
+    system = (basis + act_rows(basis, [(0, 1, -1, -1), (-1, -1, 1, 0)], r, p)) % p
     coeff = kernel_mod(system.T.copy(), p)  # C order: the elimination walks rows
     out = np.zeros((coeff.shape[0], r + 1), dtype=np.int64)
     out[:, free] = coeff

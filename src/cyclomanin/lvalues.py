@@ -7,15 +7,16 @@ V_r is its dual, coordinatized in the basis {lambda_i} dual to
 substitution is a product of two triangular factors, and act_rows
 applies a sum of them to a block of rows through the Pascal matrix,
 without any (r+1)^2 matrix.  It is the one weight-r action here: the
-level-one relations 1+U+U^2 and the Hecke operators all reach their
-rows through it.  The Gamma_infty invariants have a closed form and are
-written down, not eliminated.  The L-values of a functional rho on
-M_{p,1} are summed along the x = 1 row, the xi_i that verify-lvalues
-pairs rho with down the y = 1 column, both after one P_k
-(cyclok2.weight_sums).  The
-p^2-key sums, the whole action matrices, the pairings, the boundary
-L-values lam - lam|S, the T_p fixed-point check and the elimination the
-invariants replace are in tests/oracles.py.
+level-one relations 1+U+U^2 and each Hecke operator reach their rows
+through one call of it, which takes the diagonal scalings of all its
+sigmas from one power table and walks them in chunks.  The Gamma_infty
+invariants have a closed form and are written down, not eliminated.
+The L-values of a functional rho on M_{p,1} are summed along the x = 1
+row, the xi_i that verify-lvalues pairs rho with down the y = 1 column,
+both after one P_k (cyclok2.weight_sums).  The p^2-key sums, the whole
+action matrices, the pairings, the boundary L-values lam - lam|S, the
+T_p fixed-point check and the elimination the invariants replace are in
+tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -26,6 +27,9 @@ from .cyclok2 import build_cyclo_module, rho_basis, weight_sums
 from .exactlin import (check_int64_sums, check_prime, check_weight, int64_terms,
                        inv_mod, matmul_mod, omega_pow, power_table)
 from .reports import CheckReport
+
+_ACT_CELLS = 2**14  # stacked entries a chunk of act_rows may hold below (r+1)^2
+
 
 @lru_cache(maxsize=4)
 def binom_table(n, p):
@@ -80,19 +84,29 @@ def _matmul_halves(a, b, r, p):
     if r + 1 <= int64_terms(p):
         return matmul_mod(a, b, p)
     h = r // 2 + 1
-    return (matmul_mod(a[..., :h], b[:h], p) + matmul_mod(a[..., h:], b[h:], p)) % p
+    out = matmul_mod(a[..., :h], b[:h], p)
+    out += matmul_mod(a[..., h:], b[h:], p)
+    out %= p
+    return out
 
 
-def _rows_times_factor(block, a, c, r, p):
-    # block[s] @ U(a[s], c[s]) mod p for each member s of a (B, n, r + 1)
-    # stack, by the factorisation of U stated in act_rows
-    inv_c = np.array([inv_mod(x, p) if x else 1 for x in c], dtype=np.int64)
-    block = block * power_table(a * inv_c % p, r, p)[:, None, :] % p
-    live = c != 0
-    if live.any():
-        part = block[live]
-        prod = _matmul_halves(part.reshape(-1, r + 1), binom_table(r, p).T, r, p)
-        block[live] = prod.reshape(part.shape) * power_table(c[live], r, p)[:, None, :] % p
+def _times_factor(block, scale, powers_c, live, pascal, r, p):
+    # block[s] @ U(a_s, c_s) mod p for a (B, n, r + 1) block, by the
+    # factorisation of U stated in act_rows, scaling block in place: scale[s]
+    # holds the powers of a_s/c_s (of a_s where c_s = 0), powers_c[s] those of
+    # c_s, live[s] says c_s != 0, and pascal is P; all four come reversed for
+    # J U J
+    block *= scale[:, None]
+    block %= p
+    if not live.any():
+        return block
+    part = block if live.all() else block[live]
+    prod = _matmul_halves(part.reshape(-1, r + 1), pascal, r, p).reshape(part.shape)
+    prod *= powers_c[live, None]
+    prod %= p
+    if part is block:
+        return prod
+    block[live] = prod
     return block
 
 
@@ -105,26 +119,40 @@ def act_rows(rows, sigmas, r, p):
     factor U(a, c) of _substitution is D(a^i c^-i) P D(c^j) when c != 0,
     with P the cached Pascal matrix binom_table(r, p).T and D diagonal,
     and D(a^i) when c = 0, so a block of rows costs two diagonal scalings
-    and one product with P per factor.  The sigmas go in chunks whose
-    stacked rows hold at most (r+1)^2 entries, or one sigma where the
-    rows hold more; a chunk costs one product with P a factor.
+    and one product with P per factor.  The four diagonals of every sigma
+    come from one power_table call.  The sigmas go in chunks whose
+    stacked rows hold at most max((r+1)^2, _ACT_CELLS) entries, or one
+    sigma where the rows hold more; a chunk costs one product with P a
+    factor.  Its block is one np.where of the rows and their reversal,
+    taken where sigma swaps the target, and is scaled and reduced in
+    place; the sigmas that swap the source are sorted last, so their
+    reversal is that of one sum a chunk.
 
     Accepts exactly the p at which r//2 + 1 products of residues sum
     below 2^62, and raises ValueError at larger p.
     """
     check_int64_sums(r // 2 + 1, p)
     rows = np.asarray(rows, dtype=np.int64) % p
-    both = np.stack([rows, rows[:, ::-1]])
     subs = np.array([_substitution(s, p) for s in sigmas], dtype=np.int64).reshape(-1, 6)
+    subs = subs[np.argsort(subs[:, 4], kind="stable")]
+    # the factors U(alpha, gamma) and U(delta', beta'): powers[s] holds the
+    # powers of alpha/gamma, delta'/beta', gamma and beta' (a 0 divisor read as 1)
+    a, c = subs[:, [0, 2]], subs[:, [1, 3]]
+    inv_c = np.array([inv_mod(x, p) if x else 1 for x in c.ravel()], dtype=np.int64)
+    powers = power_table(np.hstack([a * inv_c.reshape(c.shape) % p, c]), r, p)
     out = np.zeros_like(rows)
-    chunk = max(1, (r + 1) // max(rows.shape[0], 1))
+    chunk = max(1, max((r + 1) ** 2, _ACT_CELLS) // max(rows.size, 1))
+    pascal = binom_table(r, p).T
     for at in range(0, len(subs), chunk):
-        alpha, gamma, delta, beta, swap_source, swap_target = subs[at:at + chunk].T
-        block = _rows_times_factor(both[swap_target], alpha, gamma, r, p)
-        block = _rows_times_factor(block[..., ::-1], delta, beta, r, p)[..., ::-1]
-        swap_source = swap_source.astype(bool)
-        block[swap_source] = block[swap_source, :, ::-1]
-        out = (out + block.sum(axis=0)) % p
+        s = slice(at, at + chunk)
+        block = np.where(subs[s, 5, None, None], rows[:, ::-1], rows)
+        block = _times_factor(block, powers[s, 0], powers[s, 2], c[s, 0] != 0, pascal, r, p)
+        block = _times_factor(block, powers[s, 1, ::-1], powers[s, 3, ::-1], c[s, 1] != 0,
+                              pascal[::-1, ::-1], r, p)
+        kept = np.count_nonzero(subs[s, 4] == 0)
+        out += block[:kept].sum(axis=0)
+        out += block[kept:].sum(axis=0)[:, ::-1]
+        out %= p
     return out
 
 

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cyclomanin import exactlin
-from cyclomanin.exactlin import (_PANEL, _SLACK, _bernoulli_table_mod,
+from cyclomanin.exactlin import (_LOOP_CELLS, _PANEL, _SLACK, _bernoulli_table_mod,
                                  _kernel_basis, _panel_width, bernoulli_over_k_mod,
                                  check_int64_sums, check_prime,
                                  coords_in_rowspace, int64_terms, inv_mod,
@@ -196,20 +196,50 @@ def panel_matrix(layout, m, n, p, rng):
 EDGE_PRIMES = (1000000007, 2147483647, 385699439)
 
 
+# the shipped bound below which a stack skips the panels, and 0, with which
+# every stack wider than _PANEL takes them, as all did before the bound
+LOOP_CELLS = (_LOOP_CELLS, 0)
+
+
 @pytest.mark.parametrize("p", (2, 7) + EDGE_PRIMES)
 @pytest.mark.parametrize("n", (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1))
 @pytest.mark.parametrize("layout", ("random", "zero", "empty-panel", "edges", "growth",
                                     "miss"))
-def test_rref_matches_the_column_loop(layout, n, p):
+def test_rref_matches_the_column_loop(monkeypatch, layout, n, p):
     rng = np.random.default_rng(n + p)
     for m in (n // 2, 3 * n):
         a = panel_matrix(layout, m, n, p, rng)
         before = a.copy()
-        rref, piv = rref_mod(a, p)
         want, want_piv = loop_rref(a, p)
-        assert piv == want_piv
-        assert np.array_equal(rref, want)
-        assert np.array_equal(a, before)
+        for loop_cells in LOOP_CELLS:
+            monkeypatch.setattr(exactlin, "_LOOP_CELLS", loop_cells)
+            rref, piv = rref_mod(a, p)
+            assert piv == want_piv, loop_cells
+            assert np.array_equal(rref, want), loop_cells
+            assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("p", (7, 1000000007))
+@pytest.mark.parametrize("m, n", ((_LOOP_CELLS // (2 * _PANEL), 2 * _PANEL),
+                                  (3, (_LOOP_CELLS + 1) // 3)))
+@pytest.mark.parametrize("layout", ("random", "edges", "miss"))
+def test_panels_start_one_entry_past_the_loop_bound(monkeypatch, layout, m, n, p):
+    # exactly _LOOP_CELLS entries go by the column loop alone, one more by panels
+    assert m * n in (_LOOP_CELLS, _LOOP_CELLS + 1) and _panel_width(n, p)
+    loop, shapes = exactlin._eliminate_columns, []
+
+    def recorded(stack, *args):
+        shapes.append(stack.shape)
+        return loop(stack, *args)
+
+    monkeypatch.setattr(exactlin, "_eliminate_columns", recorded)
+    a = panel_matrix(layout, m, n, p, np.random.default_rng(n))
+    assert a.any(axis=1).all()                 # rref_mod drops no row
+    rref, piv = rref_mod(a, p)
+    want, want_piv = loop_rref(a, p)
+    assert piv == want_piv
+    assert np.array_equal(rref, want)
+    assert (shapes == [(1, m, n)]) == (m * n == _LOOP_CELLS)
 
 
 @pytest.mark.parametrize("p", (385699439, 2147483647))
@@ -253,7 +283,7 @@ def low_rank(rng, m, n, rank, p):
 
 
 @pytest.mark.parametrize("p", (2, 7) + EDGE_PRIMES)
-def test_stack_kernels_match_kernel_mod(p):
+def test_stack_kernels_match_kernel_mod(monkeypatch, p):
     rng = np.random.default_rng(p % 1000)
     stacks = []
     for m, n in ((1, 1), (5, 3), (3, 9), (40, _PANEL), (70, _PANEL + 5), (300, _PANEL),
@@ -279,13 +309,16 @@ def test_stack_kernels_match_kernel_mod(p):
                             for layout in ("growth", "random", "growth", "miss")]))
     dims = []
     for stack in stacks:
-        got = stack_kernels(stack % p, p)
-        for member, ker in zip(stack, got):
-            assert np.array_equal(ker, kernel_mod(member, p))
-            # and the kernel of the column-loop oracle's rref
-            oracle = _kernel_basis(*loop_rref(member, p), member.shape[1], p)
-            assert np.array_equal(ker, oracle)
-            dims.append(len(ker))
+        oracles = [_kernel_basis(*loop_rref(member, p), member.shape[1], p)
+                   for member in stack]
+        for loop_cells in LOOP_CELLS:
+            monkeypatch.setattr(exactlin, "_LOOP_CELLS", loop_cells)
+            got = stack_kernels(stack % p, p)
+            for member, ker, oracle in zip(stack, got, oracles):
+                assert np.array_equal(ker, kernel_mod(member, p)), loop_cells
+                # and the kernel of the column-loop oracle's rref
+                assert np.array_equal(ker, oracle), loop_cells
+                dims.append(len(ker))
     assert 0 in dims and max(dims) > 1
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomanin import cli
+from cyclomanin import cli, lvalues
 from cyclomanin.cyclok2 import (ALL_FLAGS, CycloModule, build_cyclo_module, rho_basis,
                                 weight_projector, weight_sums, xi_class)
 from cyclomanin.exactlin import check_int64_sums, matmul_mod, rref_mod
@@ -153,6 +153,59 @@ def test_act_rows_at_composite_hecke_indices(m):
         rows = random_rows(3, r, p, m)
         want = summed_action(rows, merel_set(m), r, p)
         assert np.array_equal(act_rows(rows, merel_set(m), r, p), want), (r, p)
+
+
+# alpha = d = 0 with b != 0 (the source swap) and with b = 0 (the target
+# swap), gamma = -c = 0, the zero matrix, the identity and a generic sigma
+CHUNK_SIGMAS = [(1, 2, 3, 0), (2, 0, 3, 0), (2, 5, 0, 3), (0, 0, 0, 0), (1, 0, 0, 1),
+                (3, 1, 4, 2)]
+
+
+def count_factors(monkeypatch):
+    """A list that act_rows appends to once per triangular factor, so twice
+    for each chunk of sigmas."""
+    calls, factor = [], lvalues._times_factor
+
+    def counted(*args):
+        calls.append(None)
+        return factor(*args)
+
+    monkeypatch.setattr(lvalues, "_times_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, r, sigmas", [
+    (7, 0, CHUNK_SIGMAS), (7, 11, CHUNK_SIGMAS), (7, 0, merel_set(7)), (7, 11, merel_set(7)),
+    (131, 126, CHUNK_SIGMAS), (131, 127, CHUNK_SIGMAS), (131, 128, CHUNK_SIGMAS)])
+def test_act_rows_at_chunk_boundaries(monkeypatch, p, r, sigmas):
+    # r + 2 rows hold more than (r+1)^2 entries, so a budget below one
+    # sigma's rows takes the sigmas one at a time; r = 2p - 3 is the largest
+    # weight at p = 7, where p divides the determinant of T_7's terms.  The
+    # rows come unreduced, far from [0, p), for act_rows to reduce
+    rows = random_rows(r + 2, r, p, r)
+    want = summed_action(rows, sigmas, r, p)
+    rows += p * np.random.default_rng(r).integers(-2**50, 2**50, rows.shape)
+    factors = count_factors(monkeypatch)
+    count = len(sigmas)
+    for budget, chunks in ((count * rows.size, 1), (0, count), ((count - 1) * rows.size, 2)):
+        monkeypatch.setattr(lvalues, "_ACT_CELLS", budget)
+        factors.clear()
+        assert np.array_equal(act_rows(rows, sigmas, r, p), want), budget
+        assert len(factors) == 2 * chunks, budget
+
+
+def test_act_rows_chunks_hold_the_square_or_the_budget(monkeypatch):
+    # one row: a chunk takes max((r+1)^2, 2^14) // (r + 1) sigmas, 129 at
+    # r = 126, 128 at r = 127, where the two bounds meet, and 129 at r = 128
+    sigmas = CHUNK_SIGMAS * 21 + CHUNK_SIGMAS[:3]
+    factors = count_factors(monkeypatch)
+    for r, chunks in ((126, 1), (127, 2), (128, 1)):
+        rows = random_rows(1, r, 131, r)
+        want = (21 * summed_action(rows, CHUNK_SIGMAS, r, 131)
+                + summed_action(rows, CHUNK_SIGMAS[:3], r, 131)) % 131
+        factors.clear()
+        assert np.array_equal(act_rows(rows, sigmas, r, 131), want), r
+        assert len(factors) == 2 * chunks, r
 
 
 @pytest.mark.parametrize("p", (1000000007, 2147483647, 3037000493))
