@@ -9,9 +9,12 @@ lam - lam|S come from the Gamma_infty-invariant functionals, whose
 closed form needs no elimination either.  The parabolic quotient
 carries conjugation and Hecke operators, whose simultaneous eigenspace
 with T_q-eigenvalue 1+q^(k-1) detects the Eisenstein congruences of
-irregular pairs.  The Hecke operators act on the level-one basis rows
-alone, by lvalues.act_rows over Merel's coset set, and reach the
-quotient in level coordinates; no (k-1)^2 Hecke matrix is formed.
+irregular pairs.  Conjugation negates lambda_i at odd i and preserves
+the level and boundary spaces, so each row of their rrefs is even or
+odd, and on the quotient it is the sign of each free level pivot's
+parity: the plus-Eisenstein space is one kernel on the even coordinates.
+The Hecke operators act on the level-one rows alone, by lvalues.act_rows
+over Merel's coset set; no (k-1)^2 Hecke or conjugation matrix is formed.
 """
 
 from functools import lru_cache
@@ -81,7 +84,9 @@ def hecke_matrix_dual(m, r, p):
     level-one relations.
     """
     lref, lpiv = _quotient_setup(r + 2, p)[:2]
-    out = _level_coords(act_rows(lref, merel_set(m), r, p), lref, lpiv, p)
+    out, ok = coords_in_rowspace(lref, lpiv, act_rows(lref, merel_set(m), r, p), p)
+    if not ok.all():
+        raise RuntimeError("T_m must preserve the level-one relation space")
     out.flags.writeable = False
     return out
 
@@ -89,7 +94,8 @@ def hecke_matrix_dual(m, r, p):
 def conj_matrix(r, p):
     """Complex conjugation on V_r, realized by iota = (-1 0; 0 1): iota
     negates x, and the lambda basis reverses the monomials, so it acts as
-    the diagonal of signs (-1)^(r-i) at lambda_i, written down here."""
+    the diagonal of signs (-1)^(r-i) at lambda_i, written down here.  The
+    pipeline forms no such matrix: it reads the signs off lpiv."""
     return np.diag(np.where((r - np.arange(r + 1)) % 2, p - 1, 1))
 
 
@@ -116,11 +122,22 @@ def _quotient_setup(k, p):
     quot.T @ xi; `free` lists the level coordinates acting as the section.
     Cached per (k, p), so eis_eigenspace and eis_eigenvector build it
     once; the arrays are read-only and the pivots a tuple.
+
+    Conjugation, (-1)^i at lambda_i (conj_matrix), preserves a space
+    exactly when each row of its rref is even or odd; RuntimeError is
+    raised unless each level and boundary row is.  Then level row i has
+    the parity of lpiv[i], each column of quot keeps to one parity, and
+    conjugation acts on quotient coordinate j as the sign of lpiv[free[j]].
     """
     level = level1_space(k, p)
     lref, lpiv = rref_mod(level, p)
     nl = lref.shape[0]
     bnd = boundary_space(k, p)
+    odd = np.arange(k - 1) % 2 == 1
+    for name, rows in (("level-one", lref), ("boundary", bnd)):
+        if (rows[:, odd].any(axis=1) & rows[:, ~odd].any(axis=1)).any():
+            raise RuntimeError(f"conjugation must preserve the {name} space: "
+                               "a row of its rref mixes even and odd lambda_i")
     bcoords, ok = coords_in_rowspace(lref, lpiv, bnd, p)
     if not ok.all():
         raise RuntimeError("boundary space must lie in the level-one space")
@@ -129,15 +146,6 @@ def _quotient_setup(k, p):
     for arr in (lref, quot, free):
         arr.flags.writeable = False
     return lref, tuple(lpiv), quot, free, (nl, len(bpiv), len(free))
-
-
-def _level_coords(image, lref, lpiv, p):
-    """Coordinates over lref of the rows lref|op of an operator; raises
-    unless the operator preserves the level-one relation space."""
-    coords, ok = coords_in_rowspace(lref, lpiv, image, p)
-    if not ok.all():
-        raise RuntimeError("operator must preserve the level-one relation space")
-    return coords
 
 
 class EisReport:
@@ -172,23 +180,27 @@ def _eisenstein_space(p, k, primes):
 
     Returns (space, tmats, eigenvalues, dims): tmats[q] is T_q on the
     parabolic quotient and dims is (level, boundary, parabolic).
+
+    Conjugation fixes the quotient coordinates whose level pivot is even
+    (_quotient_setup), the plus ones, so the space is one kernel_mod of
+    every (T_q - (1 + q^(k-1)))[:, plus], stacked: its basis on the plus
+    coordinates, zero elsewhere, whatever the order of the primes.
     """
     check_prime(p, least=5)
     for q in primes:
         check_prime(q, name="Hecke prime q")
-    r = k - 2
-    lref, lpiv, quot, free, dims = _quotient_setup(k, p)
-    eye = np.eye(dims[2], dtype=np.int64)
-    conj = _level_coords(lref * np.diag(conj_matrix(r, p)) % p, lref, lpiv, p)
-    conj_q = _quotient_op(conj, quot, free, p)
-    if not np.array_equal(matmul_mod(conj_q, conj_q, p), eye):
-        raise RuntimeError("conjugation must be an involution on the quotient")
-    space = _intersect_eigen(eye, conj_q, 1, p)
-    tmats, eigenvalues = {}, {}
+    _, lpiv, quot, free, dims = _quotient_setup(k, p)
+    plus = np.asarray(lpiv, dtype=np.int64)[free] % 2 == 0
+    eye = np.eye(dims[2], dtype=np.int64)[:, plus]
+    tmats, eigenvalues, conditions = {}, {}, [eye[:0]]   # the width, if S is empty
     for q in primes:
         eigenvalues[q] = (1 + pow(q, k - 1, p)) % p
-        tmats[q] = _quotient_op(hecke_matrix_dual(q, r, p), quot, free, p)
-        space = _intersect_eigen(space, tmats[q], eigenvalues[q], p)
+        # level columns map by the transpose; quot.T projects the section at free
+        tmats[q] = matmul_mod(quot.T, hecke_matrix_dual(q, k - 2, p).T[:, free], p)
+        conditions.append(tmats[q][:, plus] - eigenvalues[q] * eye)
+    coeff = kernel_mod(np.vstack(conditions) % p, p)
+    space = np.zeros((coeff.shape[0], dims[2]), dtype=np.int64)
+    space[:, plus] = coeff
     return space, tmats, eigenvalues, dims
 
 
@@ -203,26 +215,9 @@ def eis_eigenspace(p, k, primes=(2,)):
     return EisReport(p, k, primes, nl, nb, space.shape[0], eigenvalues)
 
 
-def _quotient_op(on_level, quot, free, p):
-    """Push an operator in level coordinates down to the parabolic quotient.
-
-    Level coordinates transform by on_level.T (column form); the section
-    embeds quotient coordinates at the free positions; quot.T projects back.
-    """
-    return matmul_mod(quot.T, on_level.T[:, free], p)
-
-
-def _intersect_eigen(space_rows, op, ev, p):
-    """Rows spanning {v in row space : op v = ev v}."""
-    if space_rows.shape[0] == 0:
-        return space_rows
-    diff = (matmul_mod(space_rows, op.T, p) - ev * space_rows) % p
-    coeff = kernel_mod(diff.T, p)     # combinations of the rows that die
-    return matmul_mod(coeff, space_rows, p)
-
-
 def eis_eigenvector(p, k, primes=(2,)):
     """A basis of the Eisenstein eigenspace in parabolic coordinates, with
-    the quotient Hecke matrices for eigenvalue verification."""
+    the quotient Hecke matrices for eigenvalue verification: kernel_mod's
+    basis of the stacked T_q conditions on the plus coordinates."""
     space, tmats, _, _ = _eisenstein_space(p, k, primes)
     return space, tmats

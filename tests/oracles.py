@@ -13,8 +13,9 @@ in lambda coordinates); the
 whole W_r and V_r action matrices, built apart from lvalues.act_rows;
 the Gamma_infty invariants, boundary rows and level-one space by
 elimination over full V_r matrices; the level-one Hecke operators summed
-as full V_r matrices; the level-one q-expansions; and the irregular
-weights by Voronoi's congruence one numpy step per weight
+as full V_r matrices; the plus-Eisenstein space cut down one operator at
+a time (eisenstein_space_by_steps); the level-one q-expansions; and the
+irregular weights by Voronoi's congruence one numpy step per weight
 (irregular_weights_by_steps).
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclomanin.cyclok2 import _class_sign
+from cyclomanin.eisspace import _quotient_setup, conj_matrix, hecke_matrix_dual
 from cyclomanin.exactlin import (as_fp, bernoulli_over_k_mod, check_int64_sums,
                                  check_prime, check_weight, coords_in_rowspace, inv_mod,
                                  kernel_mod, matmul_mod, omega_pow, power_table, primitive_root,
@@ -461,6 +463,35 @@ def op_on_level(mat, lref, lpiv, p):
     if not ok.all():
         raise ValueError("operator must preserve the level-one relation space")
     return coords
+
+
+def eisenstein_space_by_steps(p, k, primes):
+    """(space, tmats) of eisspace.eis_eigenvector, one operator at a time:
+    the +1 eigenspace of conjugation, brought to the parabolic quotient
+    from the whole conj_matrix and checked to be an involution there, then
+    cut down by one eigenspace intersection per q in primes."""
+    lref, lpiv, quot, free, (_, _, npar) = _quotient_setup(k, p)
+
+    def on_quotient(on_level):
+        # level coordinates map by the transpose; quot.T projects the section
+        return matmul_mod(quot.T, on_level.T[:, free], p)
+
+    def intersect(rows, op, ev):
+        # the combinations of the rows that op - ev kills
+        if not len(rows):
+            return rows
+        diff = (matmul_mod(rows, op.T, p) - ev * rows) % p
+        return matmul_mod(kernel_mod(diff.T, p), rows, p)
+
+    eye = np.eye(npar, dtype=np.int64)
+    conj = on_quotient(op_on_level(conj_matrix(k - 2, p), lref, lpiv, p))
+    if not np.array_equal(matmul_mod(conj, conj, p), eye):
+        raise ValueError("conjugation must be an involution on the quotient")
+    space, tmats = intersect(eye, conj, 1), {}
+    for q in primes:
+        tmats[q] = on_quotient(hecke_matrix_dual(q, k - 2, p))
+        space = intersect(space, tmats[q], (1 + pow(q, k - 1, p)) % p)
+    return space, tmats
 
 
 def eisenstein_q_coeffs(k, p, nmax):

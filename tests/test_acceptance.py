@@ -112,8 +112,8 @@ def test_criterion_07_lvalue_identity():
     assert rep.all_pass, rep.to_json()
     counts = [c["details"] for c in rep.checks if c["name"] == "functional-count"]
     assert counts == [{"count": 1}]     # non-vacuous: one rho at (37,32)
-    rep5 = lvalue_identity_report(5, 4)
-    assert rep5.all_pass, rep5.to_json()
+    rep5 = lvalue_identity_report(5, 4)    # no functional: nothing compared
+    assert not rep5.all_pass, rep5.to_json()
     finish(7, "L(psi,i) = rho(xi_i) for odd i, plus the twist identity", t0,
            limit=60)
 

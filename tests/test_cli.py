@@ -92,6 +92,10 @@ def test_verify_lvalues(capsys):
     by_name = {c["name"]: c for c in rep["checks"]}
     assert by_name["functional-count"]["details"] == {"count": 1}
     assert by_name["odd-values-match-xi[rho0]"]["details"]["3"] == 14
+    # k = 4 has no functional at 37, so nothing is compared and the run fails
+    code, rep = run_cli(capsys, "verify-lvalues", "--p", "37", "--k", "4")
+    assert code == 1
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["functional-count"]
 
 
 def test_eis_dim_irregular_and_regular(capsys):

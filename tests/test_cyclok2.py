@@ -1,8 +1,9 @@
 """The presented symbol module against two independent reduction oracles.
 
 The first oracle rebuilds the generator-level relation matrix from
-scratch (pure Python dictionaries, no shared code) and row-reduces it
-with its own elimination.  The package generates its T_2/T_3 rows from
+scratch (pure Python dictionaries, no code shared with cyclok2) and
+row-reduces it as one dense exactlin.rref_mod, which the exactlin tests
+check on their own.  The package generates its T_2/T_3 rows from
 hecke.CLOSED_FORMS; the oracle types its own closed-form Hecke sums, so
 a transcription slip in either shows up as a dimension or zero-pattern
 mismatch.
@@ -51,7 +52,8 @@ F14 = ("F1", "F2", "F3", "F4")
 
 
 def oracle_reduce(p, with_t2=True, with_t3=True):
-    """(quotient dim, per-generator is-zero list) for M_{p,1}, from scratch."""
+    """(quotient dim, per-generator is-zero list) for M_{p,1}, from scratch:
+    the relation rows over the generators (x, y), one dense rref_mod."""
     units = list(range(1, p))
     gens = [(x, y) for x in units for y in units]
     gi = {g: i for i, g in enumerate(gens)}
@@ -86,29 +88,13 @@ def oracle_reduce(p, with_t2=True, with_t3=True):
                          (1, 3 * x, x + y), (1, x - y, 3 * y), (1, 3 * x, x - y),
                          (-3, x, y), (-1, 3 * x, 3 * y)])
 
-    pivots = {}
-
-    def reduce_row(row):
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = pow(row[c], p - 2, p)
-                return c, {k: v * inv % p for k, v in row.items()}
-            f = row[c]
-            for k, v in pivots[c].items():
-                nv = (row.get(k, 0) - f * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        return None, None
-
-    for row in rows:
-        c, red = reduce_row(row)
-        if c is not None:
-            pivots[c] = red
-    is_zero = [reduce_row({i: 1})[0] is None for i in range(len(gens))]
+    mat = np.zeros((len(rows), len(gens)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        mat[i, list(row)] = list(row.values())
+    rref, pivots = exactlin.rref_mod(mat, p)
+    # a generator is zero in the quotient when it lies in the relation span
+    eye = np.eye(len(gens), dtype=np.int64)
+    is_zero = exactlin.coords_in_rowspace(rref, pivots, eye, p)[1].tolist()
     return len(gens) - len(pivots), is_zero
 
 

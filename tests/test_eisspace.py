@@ -1,5 +1,6 @@
 """Level-one symbol spaces, parabolic quotients, Eisenstein eigenspaces."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,12 @@ from cyclomanin import eisspace
 from cyclomanin.eisspace import (_quotient_setup, boundary_space, conj_matrix,
                                  eis_eigenspace, eis_eigenvector, hecke_matrix_dual,
                                  level1_space)
-from cyclomanin.exactlin import rref_mod
+from cyclomanin.exactlin import kernel_mod, rref_mod
 from cyclomanin.lvalues import dual_act_matrix
-from oracles import (boundary_by_product, eisenstein_q_coeffs, hecke_dual_sum,
-                     level1_by_kernel, op_on_level)
+from oracles import (boundary_by_product, eisenstein_q_coeffs, eisenstein_space_by_steps,
+                     hecke_dual_sum, level1_by_kernel, op_on_level)
+
+HECKE_SETS = ((), (2,), (2, 3), (3, 2), (2, 3, 5, 7))
 
 
 def test_level1_dimensions_match_classical_multiplicities():
@@ -228,3 +231,73 @@ def test_regular_weight_constant_term_is_nonzero():
     g, _ = eisenstein_q_coeffs(12, 37, 2)
     assert g[0] != 0
     assert g[1] == 1
+
+
+def assert_matches_the_stepwise_pipeline(p, k, primes):
+    (got, got_t), (want, want_t) = eis_eigenvector(p, k, primes), \
+        eisenstein_space_by_steps(p, k, primes)
+    assert got.shape == want.shape, (p, k, primes)
+    assert np.array_equal(rref_mod(got, p)[0], rref_mod(want, p)[0]), (p, k, primes)
+    assert list(got_t) == list(want_t) == list(primes)
+    assert all(np.array_equal(got_t[q], want_t[q]) for q in primes), (p, k, primes)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 37))
+def test_one_kernel_matches_the_stepwise_pipeline(p):
+    # conjugation read off the parities of the level pivots, and every T_q
+    # condition in one kernel, against the +1 eigenspace of the whole
+    # conj_matrix cut down by one intersection per q; S = () and q = p included
+    for k in range(2, 2 * p, 2):
+        for primes in HECKE_SETS:
+            assert_matches_the_stepwise_pipeline(p, k, primes)
+
+
+@pytest.mark.parametrize("p,k", ((139, 70), (211, 106), (691, 346)))
+def test_one_kernel_matches_the_stepwise_pipeline_at_the_extra_lines(p, k):
+    for primes in HECKE_SETS:
+        assert_matches_the_stepwise_pipeline(p, k, primes)
+
+
+@pytest.mark.parametrize("p,k,primes", ((37, 32, (2, 3, 5, 7)), (139, 70, (2, 3)),
+                                        (691, 346, (2, 3))))
+def test_eigenvector_rows_do_not_depend_on_the_order_of_the_primes(p, k, primes):
+    space = eis_eigenvector(p, k, primes)[0]
+    assert space.shape[0] >= 1
+    for order in itertools.permutations(primes):
+        assert np.array_equal(eis_eigenvector(p, k, order)[0], space), order
+
+
+@pytest.mark.parametrize("name", ("level1_space", "boundary_space"))
+def test_a_space_conjugation_does_not_preserve_is_refused(monkeypatch, name):
+    # the sum of an even and an odd level row lies in the level space, but
+    # conjugation takes it out of any space it spans with fewer rows
+    p, k = 37, 32
+    lref, lpiv = rref_mod(level1_space(k, p), p)
+    even, odd = (next(i for i, c in enumerate(lpiv) if c % 2 == par) for par in (0, 1))
+    mixed = (lref[even] + lref[odd]) % p
+    spaces = {"level1_space": np.vstack([mixed, np.delete(lref, [even, odd], axis=0)]),
+              "boundary_space": mixed[None]}
+    monkeypatch.setattr(eisspace, name, lambda k, p: spaces[name])
+    _quotient_setup.cache_clear()
+    kind = "level-one" if name == "level1_space" else "boundary"
+    try:
+        with pytest.raises(RuntimeError, match=f"preserve the {kind} space"):
+            eis_eigenspace(p, k, (2,))
+    finally:    # nothing built from the patched space may outlive the test
+        _quotient_setup.cache_clear()
+        eisspace.hecke_matrix_dual.cache_clear()
+
+
+def test_the_eigenspace_is_one_kernel(monkeypatch):
+    # with the level-one setup and the Hecke matrices cached, conjugation
+    # and both T_q conditions are one elimination
+    eis_eigenspace(37, 32, (2, 3))
+    calls = []
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return kernel_mod(a, p)
+
+    monkeypatch.setattr(eisspace, "kernel_mod", counting)
+    assert eis_eigenspace(37, 32, (2, 3)).dim_plus_eisenstein == 1
+    assert len(calls) == 1

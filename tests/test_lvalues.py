@@ -495,10 +495,12 @@ def test_one_sigma_gather_for_rho_basis_and_one_for_p_k(monkeypatch, capsys, fla
 
 
 def test_lvalue_identity_report_vacuous_case():
+    # no functional at (5, 4), so no L-value is compared: that is a failure
     rep = lvalue_identity_report(5, 4)
-    assert rep.all_pass
+    assert not rep.all_pass
     by_name = {c["name"]: c for c in rep.checks}
     assert by_name["functional-count"]["details"] == {"count": 0}
+    assert [c["name"] for c in rep.checks if not c["pass"]] == ["functional-count"]
 
 
 def test_lvalue_argument_validation():
