@@ -27,7 +27,8 @@ identities proved from these relations alone.
 
 The quotient is built in two stages.  F1+F2+F3 are solved in closed
 form: with a = min(x, p^n - x), b = min(y, p^n - y), (x,y) is 0 if ab = 0
-or a = b, else class (a,b) if a < b and minus class (b,a) if a > b.
+or a = b, else class (a,b) if a < b and minus class (b,a) if a > b,
+and a class's index is a formula in a and b: nothing is kept per key.
 F4-F7 are then solved for the annihilator W of their span, one
 character of a cyclic unit group at a time.  Every family is stable
 under (x,y) -> (lam x, lam y), so a vector of one component is one
@@ -62,7 +63,7 @@ from .exactlin import (check_memory, check_prime, check_weight, kernel_mod, matm
                        power_table, rref_mod, system_kernels, system_kernels_bytes,
                        unit_logs)
 from .hecke import CLOSED_FORMS, hecke_apply
-from .manin import CoeffModule, ManinTable, enumerate_X, image_keys
+from .manin import CoeffModule, ManinTable, enumerate_X
 from .reports import CheckReport
 
 ALL_FLAGS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -98,25 +99,28 @@ def _f7_families(p, n, points):
 
 
 def _symbol_classes(pn):
-    """(class_reps, table): the classes (a, b), 1 <= a < b <= (pn - 1)/2, in lex
-    order, and table[a, b] = class + 1 = -table[b, a], 0 where the symbol dies."""
-    half = (pn - 1) // 2
-    a, b = np.triu_indices(half, 1)
-    table = np.zeros((half + 1, half + 1), dtype=np.int64)
-    table[a + 1, b + 1] = np.arange(1, len(a) + 1)
-    return np.stack([a + 1, b + 1], axis=1), table - table.T
+    """The classes (a, b), 1 <= a < b <= (pn - 1)/2, in lex order, as rows."""
+    return np.stack(np.triu_indices((pn - 1) // 2, 1), axis=1) + 1
 
 
-def _class_sign(table, keys):
-    """(class, sign) at keys x*pn + y, pn = 2 len(table) - 1; (-1, 0) where a symbol dies."""
-    pn = 2 * len(table) - 1
-    x, y = np.divmod(keys, pn)
-    t = table[np.minimum(x, pn - x), np.minimum(y, pn - y)]
-    return np.abs(t) - 1, np.sign(t)
+def _class_sign(pn, x, y):
+    """F1-F3 in closed form: (class, sign) of the symbols at arrays x, y of
+    residues mod pn, broadcast together.  With a = min(x, pn - x),
+    b = min(y, pn - y) and lo < hi the two, the symbol is sign(b - a) times
+    class (lo, hi), of lex index (lo - 1)(pn - 1 - lo)/2 + hi - lo - 1; it
+    dies, class -1 and sign 0, where lo = 0 or lo = hi."""
+    x, y = np.broadcast_arrays(x, y)
+    a, b = np.minimum(x, pn - x), np.minimum(y, pn - y)
+    b -= a                                                     # +-(hi - lo)
+    a += np.minimum(b, 0)                                      # lo
+    sign = np.where(a > 0, np.sign(b), 0)
+    cls = (a - 1) * (pn - 1 - a) // 2 + np.abs(b) - 1
+    cls[sign == 0] = -1
+    return cls, sign
 
 
-def _orbit_labels(table, p, n, wild):
-    """(orbit, sign, back, live): the classes of `table` as orbits of the unit group
+def _orbit_labels(class_reps, p, n, wild):
+    """(orbit, sign, back, live): the classes `class_reps` as orbits of the unit group
     of p-part `wild`, generated by t = h^(p^(n-1)/wild), h = unit_logs' generator.
 
     lam[x] = t^(-log_h u) scales x = p^v u to p^v (1 mod p wild).  Each class
@@ -131,9 +135,9 @@ def _orbit_labels(table, p, n, wild):
     scale = np.gcd(x, p ** (n - 1))                              # p^v(x)
     unit = dlog[x // scale]
     lam = hpow[-unit * (p ** (n - 1) // wild) % phi]
-    a, b = np.nonzero(table > 0)                                 # the classes, in order
-    ca, sa = _class_sign(table, lam[a] * a % pn * pn + lam[a] * b % pn)
-    cb, sb = _class_sign(table, lam[b] * a % pn * pn + lam[b] * b % pn)
+    a, b = class_reps.T
+    ca, sa = _class_sign(pn, lam[a] * a % pn, lam[a] * b % pn)
+    cb, sb = _class_sign(pn, lam[b] * a % pn, lam[b] * b % pn)
     use_b = np.where(scale[b] <= scale[a], cb, len(a)) < np.where(scale[a] <= scale[b], ca, len(a))
     label = np.where(use_b, cb, ca)
     reps = np.flatnonzero(label == np.arange(len(a)))
@@ -147,10 +151,10 @@ def _orbit_labels(table, p, n, wild):
 def _build_bytes(p, n, flags):
     """About the peak bytes a build of M_{p,n} with these flags allocates.
 
-    The grid term, 16 int64 per key x*p^n + y, covers the class table
-    and representatives, the orbit labels and reduce_matrix; a build's
-    measured peak is 5.9-7.0 int64 per key at p^n = 211, 691, 11^2 and
-    13^2.  The tame systems are charged, as a nonzero W^P falls back to
+    The grid term, 16 int64 per key x*p^n + y, covers the class
+    representatives and the orbit labels; a build's measured peak is
+    2.4-6.9 int64 per key at p^n = 211, 691, 1009, 11^2 and 13^2.  The
+    tame systems are charged, as a nonzero W^P falls back to
     them: each has a row per F4-F7 relation at a point x / p^v(x) = 1
     mod p, (p^n - 1)/(p - 1) per y for F4-F6, and a column per tame orbit
     of the about (p^n - 1)^2 / 8 classes.  A certificate that fails
@@ -170,11 +174,10 @@ class CycloModule:
     """The presented module M_{p,n} with its quotient structure.
 
     Attributes of note: `class_reps` lists the F1-F3 classes as their
-    pairs (a, b), 1 <= a < b <= (p^n - 1)/2, in lex order; `reduce_matrix`
-    maps each key x*p^n + y to the quotient coordinates of
-    {1 - z^x, 1 - z^y}, zero where a slot is 0 or the symbol dies; `dim` is
-    the quotient dimension; `basis_pairs` lists the class pair
-    representing each quotient basis vector.  The arrays are read-only.
+    pairs (a, b), 1 <= a < b <= (p^n - 1)/2, in lex order; `class_to_quot`
+    their quotient coordinates; `dim` the quotient dimension; `basis_pairs`
+    the class pair of each quotient basis vector.  The arrays are
+    read-only, and none is indexed by the p^(2n) keys: see `coords`.
 
     The F4-F7 relations are never assembled into one matrix: `_annihilator`
     solves one small kernel per character of a unit group, and
@@ -193,12 +196,22 @@ class CycloModule:
         if not flags >= {"F1", "F2", "F3", "F4"}:
             raise ValueError("relation families F1-F4 are always required")
         check_memory(_build_bytes(p, n, flags), f"p^n = {p**n}",
-                     "the class tables and the largest character's relation system")
+                     "the class arrays and the largest character's relation system")
         self.p, self.n, self.pn = p, n, p**n
         self.flags = flags
-        self.class_reps, self._class_table = _symbol_classes(self.pn)
+        self.class_reps = _symbol_classes(self.pn)
         self.n_classes = len(self.class_reps)
-        self._reduce()
+        # class_to_quot.T is the echelon basis of the annihilator whose rows
+        # end in a 1 at the free classes: its rref with columns reversed
+        ech, pivots = rref_mod(self._annihilator()[:, ::-1], p)
+        free = self.n_classes - 1 - np.array(pivots[::-1], dtype=np.int64)
+        self.class_to_quot = np.ascontiguousarray(ech[::-1, ::-1].T)
+        self.dim = len(free)
+        self.basis_pairs = self.class_reps[free]
+        # build_cyclo_module hands these out from its cache: a write through
+        # one would change every later answer
+        for arr in (self.class_to_quot, self.basis_pairs, self.class_reps):
+            arr.flags.writeable = False
 
     # -- stage 2: F4-F7, one kernel per character of a unit group ------
 
@@ -215,7 +228,7 @@ class CycloModule:
         p, pn, n = self.p, self.pn, self.n
         gpow = unit_logs(p, n)[0][:p - 1] % p             # g^e for e < p - 1
         for wild in dict.fromkeys((p ** (n - 1), 1)):     # the group's p-part
-            orbit, sign, back, live = _orbit_labels(self._class_table, p, n, wild)
+            orbit, sign, back, live = _orbit_labels(self.class_reps, p, n, wild)
             # the points (x, y), lex, with x / p^v(x) = 1 mod p wild; gcd(x, p^(n-1)) = p^v(x)
             xs = np.arange(1, pn)
             xs = xs[xs // np.gcd(xs, p ** (n - 1)) % (p * wild) == 1]
@@ -224,19 +237,19 @@ class CycloModule:
             families += _f7_families(p, n, points) if "F7" in self.flags else []
             rows, cols, coef, expo, nrows = [], [], [], [], 0
             for terms, at in families:
-                keys = [image_keys(at, pn, mat) for _, mat in terms]
+                coeffs = np.array([c for c, _ in terms])[:, None]
+                mats = np.array([m for _, m in terms]).reshape(-1, 2, 2)
+                u, v = (mats @ at.T % pn).swapaxes(0, 1)     # the slots of term t at point i
                 # a row is imposed where all of its slots are nonzero
-                mask = np.logical_and.reduce([(key >= pn) & (key % pn > 0) for key in keys])
-                ridx = np.arange(nrows, nrows + mask.sum())
-                nrows += len(ridx)
-                for (c, _), key in zip(terms, keys):
-                    cls, sgn = _class_sign(self._class_table, key[mask])
-                    ok = cls >= 0
-                    cls = cls[ok]
-                    rows.append(ridx[ok])
-                    cols.append(orbit[cls])
-                    coef.append(c * sgn[ok] * sign[cls])
-                    expo.append(back[cls])
+                mask = ((u > 0) & (v > 0)).all(axis=0)
+                cls, sgn = _class_sign(pn, u[:, mask], v[:, mask])
+                ok = cls >= 0
+                rows.append(np.nonzero(ok)[1] + nrows)
+                nrows += int(mask.sum())
+                cls = cls[ok]
+                cols.append(orbit[cls])
+                coef.append((coeffs * sgn)[ok] * sign[cls])
+                expo.append(back[cls])
             rows, cols, coef, expo = map(np.concatenate, (rows, cols, coef, expo))
 
             def system(j):
@@ -258,40 +271,25 @@ class CycloModule:
                 break
         return ann
 
-    def _reduce(self):
-        # class_to_quot.T is the echelon basis of the annihilator whose rows
-        # end in a 1 at the free classes: its rref with columns reversed
-        p, pn, nc = self.p, self.pn, self.n_classes
-        ech, pivots = rref_mod(self._annihilator()[:, ::-1], p)
-        free = nc - 1 - np.array(pivots[::-1], dtype=np.int64)
-        self.class_to_quot = np.ascontiguousarray(ech[::-1, ::-1].T)
-        self.dim = len(free)
-        self.basis_pairs = self.class_reps[free]
-        # key -> quotient coordinates: class (a, b) at (+-a, +-b), negated at (+-b, +-a)
-        rm = np.zeros((pn * pn, self.dim), dtype=np.int64)
-        neg = -self.class_to_quot % p
-        for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            rm[image_keys(self.class_reps, pn, (s, 0, 0, t))] = self.class_to_quot
-            rm[image_keys(self.class_reps, pn, (0, t, s, 0))] = neg
-        self.reduce_matrix = rm
-        # build_cyclo_module hands these out from its cache: a write through
-        # one would change every later answer
-        for arr in (rm, self.class_to_quot, self.basis_pairs, self.class_reps,
-                    self._class_table):
-            arr.flags.writeable = False
-
     # -- public API ----------------------------------------------------
 
-    def gen_coords(self, x, y):
-        """Quotient coordinates of the symbol {1-z^x, 1-z^y} (zero if a slot is 0)."""
-        return self.reduce_matrix[int(x) % self.pn * self.pn + int(y) % self.pn]
+    def coords(self, x, y):
+        """Quotient coordinates of {1-z^x, 1-z^y} at arrays x, y of residues
+        mod p^n, broadcast: the class's row of class_to_quot times its sign,
+        zero where a slot is 0 or the symbol dies."""
+        cls, sign = _class_sign(self.pn, x, y)
+        out = self.class_to_quot[cls]
+        out *= sign[..., None]
+        out %= self.p
+        return out
 
     def galois_rows(self, lams):
-        """galois_matrix(lam).T at each unit lam of an array, by one gather."""
+        """galois_matrix(lam).T at each unit lam of an array, by one coords call."""
         lam = np.asarray(lams, dtype=np.int64)[:, None] % self.pn
         if (lam % self.p == 0).any():
             raise ValueError(f"lambda = {lam[lam % self.p == 0][0]} is not a unit mod {self.pn}")
-        return self.reduce_matrix[image_keys(self.basis_pairs, self.pn, (lam, 0, 0, lam))]
+        x, y = self.basis_pairs.T
+        return self.coords(lam * x % self.pn, lam * y % self.pn)
 
     def galois_matrix(self, lam):
         """Matrix of sigma_lam on the quotient: galois_rows at one unit, transposed."""
@@ -317,8 +315,7 @@ def quotient_coeffs(module):
 def e_table(module):
     """The raw table (x,y) -> class{1-z^x, 1-z^y} over X_n, unvalidated."""
     points, _ = enumerate_X(module.p, module.n)
-    return ManinTable(quotient_coeffs(module),
-                      module.reduce_matrix[points[:, 0] * module.pn + points[:, 1]])
+    return ManinTable(quotient_coeffs(module), module.coords(points[:, 0], points[:, 1]))
 
 
 def e_manin(module):
@@ -391,8 +388,8 @@ def weight_sums(module, k):
     p, proj = module.p, weight_projector(module, k)
     keys = np.arange(p)
     powers = power_table(keys, k - 2, p).T                   # powers[i, t] = t^i
-    row = matmul_mod(powers, module.reduce_matrix[p + keys], p)
-    column = matmul_mod(powers[::-1], module.reduce_matrix[keys * p + 1], p)
+    row = matmul_mod(powers, module.coords(1, keys), p)
+    column = matmul_mod(powers[::-1], module.coords(keys, 1), p)
     return matmul_mod(np.stack([row, column]), proj.T, p)
 
 

@@ -35,9 +35,10 @@ _ACT_CELLS = 2**14  # stacked entries a chunk of act_rows may hold below (r+1)^2
 def binom_table(n, p):
     """Pascal triangle mod p, shape (n+1, n+1); no factorials.
 
-    Cached per (n, p), so the array is read-only.
+    Cached per (n, p), so the array is read-only.  float64, as act_rows'
+    products take it: the entries are below p, so they are exact.
     """
-    c = np.zeros((n + 1, n + 1), dtype=np.int64)
+    c = np.zeros((n + 1, n + 1))
     c[:, 0] = 1
     for i in range(1, n + 1):
         c[i, 1:i + 1] = (c[i - 1, :i] + c[i - 1, 1:i + 1]) % p

@@ -1,6 +1,7 @@
 """Reference code the tests check the package against; no verifier path runs it.
 
-The F1-F3 symbol classes as the least of eight images; coefficient
+The F1-F3 symbol classes as the least of eight images; a module's
+symbol coordinates at any integers and at every key; coefficient
 modules, the Manin relation space and boundary symbols; the closed-form
 and matrix Hecke operators; eigenprojectors of M_{p,1}; the xi classes
 and L-values of M_{p,1} summed over all p^2 keys, and its
@@ -63,6 +64,18 @@ def canonical_class_index(pn):
     live = np.unique(rep[rep >= 0])
     cls = np.where(rep >= 0, np.searchsorted(live, rep), -1)
     return np.stack(np.divmod(live, pn), axis=1), cls, sign
+
+
+def symbol_coords(module, x, y):
+    """module.coords at any integers or arrays x, y, reduced mod p^n first;
+    one row of dim at scalars."""
+    x, y = np.broadcast_arrays(np.asarray(x) % module.pn, np.asarray(y) % module.pn)
+    return module.coords(x.ravel(), y.ravel()).reshape(*x.shape, module.dim)
+
+
+def key_coords(module):
+    """module.coords at every key x*p^n + y, one row each, in key order."""
+    return module.coords(*np.divmod(np.arange(module.pn ** 2), module.pn))
 
 
 def coeffs_by_action(p, n, dim, act, name):
@@ -254,7 +267,7 @@ def xi_class_by_grid(module, i, k):
     e = np.array([k - i - 1, i - 1]) % (p - 1)
     wa, wb = power_table(np.arange(p), int(e.max()), p)[:, e].T
     coeff = np.outer(wa, wb).ravel() % p
-    return matmul_mod(coeff[None, :], module.reduce_matrix, p)[0]
+    return matmul_mod(coeff[None, :], key_coords(module), p)[0]
 
 
 def l_values_by_grid(module, rho, k):
@@ -271,7 +284,7 @@ def l_values_by_grid(module, rho, k):
     if rho.shape != (module.dim,):
         raise ValueError(f"rho must have shape ({module.dim},), got {rho.shape}")
     # rho(class(x,y)) over the p x p keys x*p + y; the rows of the axes are zero
-    grid = matmul_mod(module.reduce_matrix, rho, p)
+    grid = matmul_mod(key_coords(module), rho, p)
     powers = power_table(np.arange(p), k - 2, p)  # powers[u, e] = u^e
     vals = {}
     excluded = set()
@@ -319,8 +332,7 @@ def orbits_by_walk(module, h, steps, start=None):
     so `steps` steps close every orbit.  Every class is walked, or only
     the classes `start`, each array then holding one entry per start.
     """
-    h_cls, h_sign = _class_sign(module._class_table,
-                                image_keys(module.class_reps, module.pn, (h, 0, 0, h)))
+    h_cls, h_sign = _class_sign(module.pn, *(h * module.class_reps.T % module.pn))
     idx = np.arange(module.n_classes) if start is None else start
     cur, sign = idx.copy(), np.ones_like(idx)
     least, step, least_sign = idx.copy(), np.zeros_like(idx), sign.copy()
@@ -345,7 +357,7 @@ def _weight_r(r, p, *vecs):
 def _first_column(pow_a, pow_c, r, p):
     # U[i, j] = C(j, i) a^i c^(j-i): column j is (aX + cY)^j Y^(r-j)
     padded = np.concatenate([np.zeros(r, dtype=np.int64), pow_c])
-    out = binom_table(r, p).T * sliding_window_view(padded, r + 1)[::-1]
+    out = binom_table(r, p).T.astype(np.int64) * sliding_window_view(padded, r + 1)[::-1]
     out %= p
     out *= pow_a[:, None]
     out %= p
@@ -391,7 +403,7 @@ def perfect_pairing(f, g, r, p):
     f, g = _weight_r(r, p, f, g)
     if r >= p:
         raise ValueError("perfect pairing needs r < p (r! invertible)")
-    bt = binom_table(r, p)
+    bt = binom_table(r, p).astype(np.int64)
     i = np.arange(r + 1)
     signs = np.where(i % 2, p - 1, 1)
     inv_binom = np.array([inv_mod(bt[r, j], p) for j in range(r + 1)], dtype=np.int64)

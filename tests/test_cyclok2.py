@@ -8,8 +8,8 @@ hecke.CLOSED_FORMS; the oracle types its own closed-form Hecke sums, so
 a transcription slip in either shows up as a dimension or zero-pattern
 mismatch.
 
-The F1-F3 classes the package reads from a closed-form table are checked
-against a search for the least of each key's eight images.
+The F1-F3 classes and signs the package computes by a closed form are
+checked against a search for the least of each key's eight images.
 
 The second oracle is the dense build the package no longer runs: every
 F4-F7 row in canonical-class coordinates, one row reduction, and the
@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,7 +47,7 @@ from cyclomanin.exactlin import (is_irregular_pair, is_prime, kernel_mod,
                                  unit_group, unit_logs)
 from cyclomanin.manin import enumerate_X, image_keys, is_supported_at_infty
 from oracles import (canonical_class_index, canonical_classes, eigen_projector,
-                     orbits_by_walk)
+                     key_coords, orbits_by_walk, symbol_coords)
 
 F14 = ("F1", "F2", "F3", "F4")
 
@@ -101,8 +102,7 @@ def oracle_reduce(p, with_t2=True, with_t3=True):
 def package_zero_pattern(module):
     # the unit pairs (x, y) in lex order, as oracle_reduce lists them
     units = np.arange(1, module.p)
-    keys = (units[:, None] * module.p + units).ravel()
-    return [not row.any() for row in module.reduce_matrix[keys]]
+    return (~module.coords(units[:, None], units).any(axis=-1)).ravel().tolist()
 
 
 CLASS_CASES = [(p, 1) for p in range(5, 44) if is_prime(p)] + [(5, 2), (7, 2), (11, 2),
@@ -111,13 +111,17 @@ CLASS_CASES = [(p, 1) for p in range(5, 44) if is_prime(p)] + [(5, 2), (7, 2), (
 
 @pytest.mark.parametrize("p,n", CLASS_CASES)
 def test_closed_form_classes_match_the_eight_image_search(p, n):
-    # class and sign at every key x*p^n + y, and the classes in lex order
+    # class and sign at every key x*p^n + y, taken as one pair of columns
+    # and as the two axes of a broadcast grid, and the classes in lex order
     module = build_cyclo_module(p, n)
-    reps, cls, sign = canonical_class_index(module.pn)
+    pn = module.pn
+    reps, cls, sign = canonical_class_index(pn)
     assert np.array_equal(module.class_reps, reps)
-    got_cls, got_sign = cyclok2._class_sign(module._class_table, np.arange(module.pn ** 2))
-    assert np.array_equal(got_cls, cls)
-    assert np.array_equal(got_sign, sign)
+    assert np.array_equal(cyclok2._symbol_classes(pn), reps)
+    for got_cls, got_sign in (cyclok2._class_sign(pn, *np.divmod(np.arange(pn * pn), pn)),
+                              cyclok2._class_sign(pn, np.arange(pn)[:, None], np.arange(pn))):
+        assert np.array_equal(got_cls.ravel(), cls)
+        assert np.array_equal(got_sign.ravel(), sign)
 
 
 @pytest.mark.parametrize("p,n", [(2003, 1), (43, 2)])
@@ -127,10 +131,10 @@ def test_closed_form_classes_on_random_keys(p, n):
     pn = p**n
     keys = np.random.default_rng(pn).integers(0, pn * pn, size=10**5)
     rep, sign = canonical_classes(keys, pn)
-    reps, table = cyclok2._symbol_classes(pn)
+    reps = cyclok2._symbol_classes(pn)
     rep_keys = reps[:, 0] * pn + reps[:, 1]
     assert (np.diff(rep_keys) > 0).all()
-    cls, got_sign = cyclok2._class_sign(table, keys)
+    cls, got_sign = cyclok2._class_sign(pn, *np.divmod(keys, pn))
     assert np.array_equal(got_sign, sign)
     assert np.array_equal(np.where(cls >= 0, rep_keys[cls], -1), rep)
     assert 0 < (rep < 0).sum() < len(keys)
@@ -174,7 +178,7 @@ def test_orbit_labels_match_the_walk(p, n):
     # sign must be dead there
     module = build_cyclo_module(p, n)
     for wild, t, steps in stages(p, n):
-        labels = cyclok2._orbit_labels(module._class_table, p, n, wild)
+        labels = cyclok2._orbit_labels(module.class_reps, p, n, wild)
         live = check_orbit_labels(p, labels, np.arange(module.n_classes),
                                   orbits_by_walk(module, t, steps))
         assert labels[3].shape[1] == len(set(labels[0].tolist()))
@@ -185,12 +189,11 @@ def test_orbit_labels_match_the_walk(p, n):
 def test_orbit_labels_on_random_classes(p, n):
     # no module is built: 10^4 random classes, and the first class of every
     # orbit, are walked alone, at each stage
-    reps, table = cyclok2._symbol_classes(p**n)
-    classes = SimpleNamespace(_class_table=table, class_reps=reps, pn=p**n,
-                              n_classes=len(reps))
+    reps = cyclok2._symbol_classes(p**n)
+    classes = SimpleNamespace(class_reps=reps, pn=p**n, n_classes=len(reps))
     sample = np.random.default_rng(p**n).integers(0, len(reps), size=10**4)
     for wild, t, steps in stages(p, n):
-        labels = cyclok2._orbit_labels(table, p, n, wild)
+        labels = cyclok2._orbit_labels(reps, p, n, wild)
         members = np.concatenate([np.unique(labels[0], return_index=True)[1], sample])
         check_orbit_labels(p, labels, members, orbits_by_walk(classes, t, steps, members))
 
@@ -249,10 +252,10 @@ def test_character_build_matches_the_dense_reduction(p, n, extra):
     assert np.array_equal(module.class_to_quot, q)
     assert np.array_equal(module.basis_pairs, module.class_reps[free])
     assert module.dim == len(free)
-    # one row per key x*p^n + y, zero where the symbol dies
+    # coords at every key x*p^n + y, zero where the symbol dies
     _, cls, sign = canonical_class_index(module.pn)
     rm = np.where(cls[:, None] >= 0, q[cls] * sign[:, None] % p, 0)
-    assert np.array_equal(module.reduce_matrix, rm)
+    assert np.array_equal(key_coords(module), rm)
 
 
 WILD_CASES = [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3)]
@@ -389,26 +392,25 @@ def test_build_size_estimate_is_pinned():
     assert got == SEED_BUILD_BYTES
 
 
-def test_reduce_matrix_is_built_in_place(monkeypatch):
-    # key -> quotient coordinates at a dim 2 build: beside the result and
-    # class_to_quot, the step may hold one index array over the p^2 keys only
-    p = 211
-    module = CycloModule(p)
-    want = module.reduce_matrix.copy()
-    assert module.dim == 2
-    annihilator = module._annihilator()
-    echelon = rref_mod(annihilator[:, ::-1], p)
-    monkeypatch.setattr(module, "_annihilator", lambda: annihilator)
-    monkeypatch.setattr(cyclok2, "rref_mod", lambda a, q: echelon)
+@pytest.mark.parametrize("p, n, flags", [(211, 1, ALL_FLAGS), (11, 2, F14)],
+                         ids=("211", "11-2-F1-F4"))
+def test_built_module_holds_no_array_over_the_keys(p, n, flags):
+    # a built module holds class_reps and class_to_quot, a row per class of
+    # the about p^(2n)/8, and basis_pairs, and nothing more: coords reads
+    # class_to_quot, so no (p^(2n), dim) table of coordinates is kept.  At
+    # 211 (dim 2) that table alone took 16 bytes a key
+    unit_logs(p, n)      # cached on first use: warm, so only the module is counted
     tracemalloc.start()
     try:
-        module._reduce()
-        peak = tracemalloc.get_traced_memory()[1]
+        module = CycloModule(p, n, flags)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(module.reduce_matrix, want)
-    held = module.reduce_matrix.nbytes + module.class_to_quot.nbytes
-    assert peak <= held + 8 * module.pn ** 2 + 2**16
+    arrays = [v for v in vars(module).values() if isinstance(v, np.ndarray)]
+    assert all(len(arr) <= module.n_classes for arr in arrays)
+    assert held <= sum(arr.nbytes for arr in arrays) + 2**16
+    if module.dim <= 2:
+        assert held < 8 * module.pn ** 2
 
 
 def test_build_is_cached():
@@ -418,21 +420,28 @@ def test_build_is_cached():
 
 def test_cached_arrays_are_read_only():
     # build_cyclo_module, enumerate_X, unit_logs and CoeffModule.act hand out
-    # cached arrays, so a write through one, such as gen_coords(1, 2) += 1,
+    # cached arrays, so a write through one, such as class_to_quot[0] += 1,
     # would change later answers
     module = build_cyclo_module(37)
-    names = ("reduce_matrix", "class_to_quot", "basis_pairs", "class_reps", "_class_table")
+    names = ("class_to_quot", "basis_pairs", "class_reps")
     for arr in [getattr(module, name) for name in names] + [
-            module.gen_coords(1, 2), *enumerate_X(37, 1), *unit_logs(37, 1), *unit_logs(5, 2),
+            *enumerate_X(37, 1), *unit_logs(37, 1), *unit_logs(5, 2),
             quotient_coeffs(module).act(2), quotient_coeffs(module).table]:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = arr       # a write that would change nothing
+    # coords gathers anew at each call: a write into its result is the caller's
+    x, y = np.array([1, 2, 3]), np.array([2, 5, 4])
+    got = module.coords(x, y)
+    want = got.copy()
+    assert want.any()
+    got += 1
+    assert np.array_equal(module.coords(x, y), want)
 
 
 @pytest.mark.parametrize("p,n", ((5, 1), (7, 1), (5, 2)))
 def test_symbol_class_orbit_identities(p, n):
     module = build_cyclo_module(p, n, F14)
-    c = module.gen_coords
+    c = partial(symbol_coords, module)
     pn = p ** n
     rng = np.random.default_rng(3)
     pairs = rng.integers(1, pn, size=(40, 2))
@@ -453,8 +462,8 @@ def test_galois_action_commutes_with_classes():
     for lam in (2, 3, 6):
         g = module.galois_matrix(lam)
         for x, y in ((1, 2), (3, 5), (2, 6)):
-            moved = module.gen_coords(lam * x, lam * y)
-            want = g @ module.gen_coords(x, y) % 7
+            moved = symbol_coords(module, lam * x, lam * y)
+            want = g @ symbol_coords(module, x, y) % 7
             assert np.array_equal(moved, want)
 
 
@@ -488,11 +497,11 @@ def test_hecke_eigenvalue_holds_on_f14_builds_too():
 def test_f14_fixture_class_is_nonzero_and_full_flags_kill_it():
     small = build_cyclo_module(5, 1, F14)
     assert small.dim == 1
-    assert small.gen_coords(1, 2).any()
+    assert symbol_coords(small, 1, 2).any()
     assert not is_supported_at_infty(e_table(small))
     full = build_cyclo_module(5)
     assert full.dim == 0
-    assert not full.gen_coords(1, 2).any()
+    assert not symbol_coords(full, 1, 2).any()
 
 
 def test_t2_t3_families_are_not_implied_by_f14():
@@ -504,8 +513,8 @@ def test_f7_norm_compatibility_classes():
     module = build_cyclo_module(5, 2, F14 + ("F7",))
     for u in (1, 2, 3, 4, 7):
         for y in (1, 3, 11):
-            rhs = sum(module.gen_coords(beta, y) for beta in range(1, 25) if beta % 5 == u % 5)
-            assert np.array_equal(module.gen_coords(5 * u, y), rhs % 5)
+            rhs = sum(symbol_coords(module, beta, y) for beta in range(1, 25) if beta % 5 == u % 5)
+            assert np.array_equal(symbol_coords(module, 5 * u, y), rhs % 5)
 
 
 def test_f7_terms_match_enumeration():
@@ -578,7 +587,7 @@ def test_f6_rows_regression_value():
     # dim drops to 0 everywhere if any F6 term goes missing; pin one row
     # numerically through the quotient instead of through the term list
     module = build_cyclo_module(37, 1, F14 + ("F6",))
-    c = module.gen_coords
+    c = partial(symbol_coords, module)
     x, y = 2, 5
     acc = c(x, 3 * y) + c(3 * x, y) - c(3 * y, x + y) - c(3 * y, y - x) \
         + c(3 * x, x + y) + c(3 * x, y - x) - c(3 * x, 3 * y) + c(y, y - x) \
@@ -669,5 +678,6 @@ def test_compressed_build_matches_per_character_kernels(p, n, monkeypatch):
     monkeypatch.setattr(cyclok2, "system_kernels", per_character_kernels)
     plain = CycloModule(p, n)
     assert module.dim == plain.dim
-    for name in ("class_to_quot", "basis_pairs", "reduce_matrix"):
+    for name in ("class_to_quot", "basis_pairs"):
         assert np.array_equal(getattr(module, name), getattr(plain, name)), name
+    assert np.array_equal(key_coords(module), key_coords(plain))

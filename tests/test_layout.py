@@ -65,9 +65,7 @@ def test_traced_names_exist():
 
 
 # public names of src/cyclomanin that only the tests reach, each with its reason
-TEST_ONLY = {
-    "CycloModule.gen_coords": "the tests' accessor for the class of one symbol",
-}
+TEST_ONLY = {}
 
 
 def unreferenced(src_dir):
